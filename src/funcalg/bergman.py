@@ -60,54 +60,57 @@ def bergman_norm(f, p: float, q: DiscQuadrature) -> float:
     return float(np.sum(q.weights * np.abs(f) ** p) ** (1.0 / p))
 
 
-def _basis_powers(q: DiscQuadrature, n: int) -> np.ndarray:
-    """(n+1) x nodes array of u^k on the quadrature nodes."""
-    return q.nodes[None, :] ** np.arange(n + 1)[:, None]
+def _angular_spectra(phi, q: DiscQuadrature, n: int) -> np.ndarray:
+    """Per-radius angular DFT F[r, m] = mean over angles of phi e^(-i m theta),
+    the exact trapezoid-rule angular sums of the tensor quadrature."""
+    if n >= q.n_ang // 2:
+        raise GridError("cutoff exceeds the angular resolution of the grid")
+    phi = np.asarray(phi, dtype=complex).ravel()
+    if phi.shape != q.nodes.shape:
+        raise GridError("sample vector must match the node count")
+    return np.fft.fft(phi.reshape(q.n_rad, q.n_ang), axis=1) / q.n_ang
 
 
 def bergman_project(phi, q: DiscQuadrature, n: int) -> HoloPoly:
     """Orthogonal projection of grid samples onto polynomials of degree <= n.
 
-    Coefficient b_k = <phi, z^k> / m_k, the monomial-basis expansion of the
-    Bergman projection; fixes holomorphic polynomials of degree <= n.
+    Coefficient b_k = <phi, z^k> / m_k = sum_r w_r r^k F[r, k] / m_k, the
+    monomial-basis expansion of the Bergman projection; fixes holomorphic
+    polynomials of degree <= n.
     """
-    if n >= q.n_ang // 2:
-        raise GridError("cutoff exceeds the angular resolution of the grid")
-    phi = np.asarray(phi, dtype=complex).ravel()
-    powers = _basis_powers(q, n)
-    moments = np.array([radial_moment(q.alpha, k) for k in range(n + 1)])
-    coeffs = (powers.conj() * (q.weights * phi)[None, :]).sum(axis=1) / moments
-    return HoloPoly(coeffs)
+    spec = _angular_spectra(phi, q, n)
+    k = np.arange(n + 1)
+    moments = np.array([radial_moment(q.alpha, kk) for kk in k])
+    return HoloPoly(q.radial_weights @ (q.radii[:, None] ** k * spec[:, k]) / moments)
 
 
 def toeplitz_matrix(phi, q: DiscQuadrature, n: int) -> OperatorMatrix:
     """Matrix of the Toeplitz operator with symbol phi, cutoff degree n.
 
-    M[j, k] = <phi * e_k, e_j> with e_k = z^k / sqrt(m_k).
+    M[j, k] = <phi * e_k, e_j> = sum_r w_r r^(j+k) F[r, j-k] / sqrt(m_j m_k)
+    with e_k = z^k / sqrt(m_k).
     """
-    if n >= q.n_ang // 2:
-        raise GridError("cutoff exceeds the angular resolution of the grid")
-    phi = np.asarray(phi, dtype=complex).ravel()
-    powers = _basis_powers(q, n)
-    norms = np.sqrt(np.array([radial_moment(q.alpha, k) for k in range(n + 1)]))
-    weighted = powers.conj() * q.weights[None, :]       # rows j: w * conj(u)^j
-    mat = weighted @ (phi[:, None] * powers.T)          # sum w phi u^k conj(u)^j
-    mat /= norms[:, None] * norms[None, :]
-    return OperatorMatrix(mat)
+    spec = _angular_spectra(phi, q, n)
+    # sums[d, o] = sum_r w_r r^d F[r, o - n] for total degree d, offset o - n
+    powers = q.radii ** np.arange(2 * n + 1)[:, None]
+    sums = (powers * q.radial_weights) @ spec[:, np.arange(-n, n + 1) % q.n_ang]
+    j, k = np.ogrid[: n + 1, : n + 1]
+    norms = np.sqrt([radial_moment(q.alpha, kk) for kk in range(n + 1)])
+    return OperatorMatrix(sums[j + k, j - k + n] / (norms[:, None] * norms))
+
+
+def angular_convolution(f, g) -> np.ndarray:
+    """Normalized circular convolution along the last axis (per radius on a
+    (n_rad, n_ang) grid); Fourier coefficients multiply."""
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    if f.shape[-1] != g.shape[-1]:
+        raise GridError("grids must have equal size")
+    return np.fft.ifft(np.fft.fft(f) * np.fft.fft(g)) / f.shape[-1]
 
 
 def circle_convolution(f: BoundaryGrid, g: BoundaryGrid) -> BoundaryGrid:
-    """Normalized circular convolution; Fourier coefficients multiply."""
-    if f.size != g.size:
-        raise GridError("grids must have equal size")
-    conv = np.fft.ifft(np.fft.fft(f.samples) * np.fft.fft(g.samples)) / f.size
-    return BoundaryGrid(conv)
-
-
-def _angular_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row-wise normalized circular convolution of (n_rad, n_ang) sample arrays."""
-    n_ang = f.shape[1]
-    return np.fft.ifft(np.fft.fft(f, axis=1) * np.fft.fft(g, axis=1), axis=1) / n_ang
+    """Normalized circular convolution of boundary grids."""
+    return BoundaryGrid(angular_convolution(f.samples, g.samples))
 
 
 def _grid_norm(h: np.ndarray, p: float, q: DiscQuadrature) -> float:
@@ -126,7 +129,7 @@ def check_convolution_submultiplicative(f, g, p: float, q: DiscQuadrature) -> di
         raise ValueError(f"p must be positive, got {p}")
     f = np.asarray(f, dtype=complex).reshape(q.n_rad, q.n_ang)
     g = np.asarray(g, dtype=complex).reshape(q.n_rad, q.n_ang)
-    conv = _angular_convolve(f, g)
+    conv = angular_convolution(f, g)
     lhs = _grid_norm(conv, p, q)
     rhs = _grid_norm(f, p, q) * _grid_norm(g, p, q)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}

@@ -96,7 +96,7 @@ def cmd_bergman_convolution(args) -> int:
     if args.strict_paper:
         # alternative reading of the norm display: the per-radius circle mean
         # taken WITHOUT the outer 1/p power before radial integration
-        conv = bergman._angular_convolve(f, g)
+        conv = bergman.angular_convolution(f, g)
         means = np.mean(np.abs(conv) ** args.p, axis=1) ** (1.0 / args.p)
         record["lhs_strict_paper"] = float(
             (np.sum(q.radial_weights * means)) ** (1.0 / args.p))
@@ -239,18 +239,19 @@ def cmd_colombeau(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    t0 = time.perf_counter()
     try:
         records = suites.run_suite(args.name, seed=args.seed)
     except KeyError as exc:
         raise UsageError(str(exc))
-    t0 = time.perf_counter()
-    all_pass = all(r["passed"] for r in records)
     elapsed = time.perf_counter() - t0
+    all_pass = all(r["passed"] for r in records)
     for r in records:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"[{status}] {r['name']}")
+    # wall time goes to stdout only, so --out stays byte-identical across reruns
     print(f"suite {args.name}: {sum(r['passed'] for r in records)}/{len(records)} "
-          f"passed ({elapsed:.2f}s reporting)")
+          f"passed ({elapsed:.2f}s wall)")
     if args.out:
         _write(args.out, dump_json({"suite": args.name, "seed": args.seed,
                                     "results": records}))

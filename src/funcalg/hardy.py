@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .numcore import BoundaryGrid, HoloPoly, boundary_fourier
 
@@ -117,10 +118,9 @@ def hardy_toeplitz(phi_hat: dict[int, complex], n: int) -> HardyToeplitz:
     missing = [k for k in range(-n, n + 1) if k not in phi_hat]
     if missing:
         raise KeyError(f"missing Fourier coefficients for offsets {missing}")
-    j = np.arange(n + 1)
-    entries = np.array([[phi_hat[int(jj - kk)] for kk in j] for jj in j],
-                       dtype=complex)
-    return HardyToeplitz(entries)
+    col = np.array([phi_hat[k] for k in range(n + 1)], dtype=complex)
+    row = np.array([phi_hat[-k] for k in range(n + 1)], dtype=complex)
+    return HardyToeplitz(toeplitz(col, row))
 
 
 def conjugate_symbol(phi_hat: dict[int, complex]) -> dict[int, complex]:

@@ -3,7 +3,8 @@ boundary Fourier analysis.
 
 The unit disc carries the normalized area measure dA = (1/pi) dx dy, so the
 weighted measure (alpha+1)(1-|z|^2)^alpha dA has total mass one.  Radial
-integration uses Gauss-Legendre nodes mapped to [0, 1]; the angular direction
+integration uses Gauss-Jacobi nodes for the weight (1-s)^alpha in s = r^2,
+exact for every moment |z|^(2k) with k <= 2 n_rad - 1; the angular direction
 uses equispaced points (trapezoid rule, spectrally exact for band-limited
 integrands).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_jacobi
 
 
 class GridError(ValueError):
@@ -110,18 +111,17 @@ def radial_moment(alpha: float, k: int) -> float:
 
 
 def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadrature:
-    """Gauss-Legendre (radial) x trapezoid (angular) quadrature for dA_alpha."""
+    """Gauss-Jacobi (radial, in s = r^2) x trapezoid (angular) quadrature for dA_alpha."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if n_rad < 4 or n_ang < 8:
         raise GridError("need n_rad >= 4 and n_ang >= 8")
 
-    x, w = np.polynomial.legendre.leggauss(n_rad)
-    r = 0.5 * (x + 1.0)              # map [-1,1] -> [0,1]
-    wr = 0.5 * w
-    c = weight_normalizer(alpha)
-    # dA_alpha = c (1-r^2)^alpha * 2 r dr * dtheta/(2 pi)
-    radial_weights = c * (1.0 - r ** 2) ** alpha * 2.0 * r * wr
+    # dA_alpha = (alpha+1)(1-s)^alpha ds dtheta/(2 pi); s = (x+1)/2 carries the
+    # Jacobi weight (1-x)^alpha dx on [-1, 1] to 2^(alpha+1) (1-s)^alpha ds
+    x, w = roots_jacobi(n_rad, alpha, 0.0)
+    r = np.sqrt(0.5 * (x + 1.0))
+    radial_weights = weight_normalizer(alpha) * w / 2.0 ** (alpha + 1.0)
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
 
     nodes = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -186,11 +186,7 @@ def boundary_fourier(b: BoundaryGrid) -> dict[int, complex]:
     """
     m = b.size
     coeffs = np.fft.fft(b.samples) / m
-    out: dict[int, complex] = {}
-    for bin_idx in range(m):
-        k = bin_idx if bin_idx <= m // 2 else bin_idx - m
-        out[k] = complex(coeffs[bin_idx])
-    return out
+    return {(i if i <= m // 2 else i - m): complex(c) for i, c in enumerate(coeffs)}
 
 
 def boundary_synthesis(coeffs: dict[int, complex], m: int) -> BoundaryGrid:

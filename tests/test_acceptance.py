@@ -5,11 +5,14 @@ The heavy per-module sweeps are computed once per session through the shared
 suites and asserted here at the stated tolerances.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import funcalg
 from funcalg import suites
 
 
@@ -117,13 +120,17 @@ def test_8_colombeau(suite_records):
 
 
 def test_9_determinism(tmp_path):
+    # the child imports the same funcalg as this process, installed or not
+    package_root = str(Path(funcalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     outputs = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "funcalg.cli", "suite", "all",
              "--seed", "0", "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outputs.append(out.read_bytes())
     report("9 suite all --seed 0 reruns are byte-identical", outputs[0] == outputs[1])

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from funcalg import bergman
-from funcalg.numcore import HoloPoly, build_disc_quadrature
+from funcalg.numcore import GridError, HoloPoly, build_disc_quadrature
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,60 @@ class TestToeplitz:
             bergman.OperatorMatrix(np.ones((2, 3)))
 
 
+def exact_moment(alpha, k):
+    """m_k = k! Gamma(alpha+2) / Gamma(k+alpha+2), computed without quadrature."""
+    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha + 2) - math.lgamma(k + alpha + 2))
+
+
+class TestClosedFormOracle:
+    """Symbols z^a conj(z)^b against closed forms that use no quadrature.
+
+    16 Gauss-Jacobi radial nodes integrate the moments s^(k+a) <= s^19 exactly,
+    so fractional alpha is held to the same 1e-12 as integral alpha.
+    """
+
+    CUTOFF = 16
+    MONOMIALS = [(a, b) for a in range(4) for b in range(4)]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.5])
+    def test_toeplitz_monomial_symbols(self, alpha):
+        n = self.CUTOFF
+        q = build_disc_quadrature(alpha, 16, 64)
+        m = [exact_moment(alpha, k) for k in range(n + 4)]
+        for a, b in self.MONOMIALS:
+            phi = q.nodes ** a * np.conj(q.nodes) ** b
+            # M[j, k] = delta(j, k+a-b) m_(k+a) / sqrt(m_j m_k)
+            expected = np.zeros((n + 1, n + 1))
+            for k in range(n + 1):
+                j = k + a - b
+                if 0 <= j <= n:
+                    expected[j, k] = m[k + a] / math.sqrt(m[j] * m[k])
+            mat = bergman.toeplitz_matrix(phi, q, n).entries
+            np.testing.assert_allclose(mat, expected, rtol=0, atol=1e-12,
+                                       err_msg=f"a={a} b={b}")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.5])
+    def test_projection_monomial_symbols(self, alpha):
+        n = self.CUTOFF
+        q = build_disc_quadrature(alpha, 16, 64)
+        for a, b in self.MONOMIALS:
+            phi = q.nodes ** a * np.conj(q.nodes) ** b
+            # P(z^a conj(z)^b) = (m_a / m_(a-b)) z^(a-b) for a >= b, else 0
+            expected = np.zeros(n + 1)
+            if a >= b:
+                expected[a - b] = exact_moment(alpha, a) / exact_moment(alpha, a - b)
+            proj = bergman.bergman_project(phi, q, n).coeffs
+            np.testing.assert_allclose(proj, expected, rtol=0, atol=1e-12,
+                                       err_msg=f"a={a} b={b}")
+
+    def test_wrong_sample_count(self, quad):
+        short = np.ones(len(quad.nodes) - 1)
+        with pytest.raises(GridError):
+            bergman.toeplitz_matrix(short, quad, 4)
+        with pytest.raises(GridError):
+            bergman.bergman_project(short, quad, 4)
+
+
 class TestCircleConvolution:
     def test_direct_oracle(self):
         # oracle: O(M^2) direct normalized convolution sum
@@ -145,6 +201,22 @@ class TestCircleConvolution:
         cc = boundary_fourier(conv)
         for k in (-5, 0, 3):
             assert cc[k] == pytest.approx(cf[k] * cg[k], abs=1e-12)
+
+
+    def test_angular_convolution_per_row(self):
+        # oracle: direct normalized convolution sum, one row (radius) at a time
+        rng = np.random.default_rng(13)
+        m = 16
+        f = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        g = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        direct = np.array([[sum(f[r, j] * g[r, (i - j) % m] for j in range(m)) / m
+                            for i in range(m)] for r in range(3)])
+        np.testing.assert_allclose(bergman.angular_convolution(f, g), direct, atol=1e-12)
+
+    def test_size_mismatch(self):
+        from funcalg.numcore import BoundaryGrid
+        with pytest.raises(GridError):
+            bergman.circle_convolution(BoundaryGrid(np.ones(8)), BoundaryGrid(np.ones(16)))
 
 
 class TestSubmultiplicativity:
