@@ -6,12 +6,12 @@ Run with: python3 demos/lie_flows.py
 
 import numpy as np
 
-from funcalg import liefields
 from funcalg.liefields import (
     PolyVectorField,
     bracket_via_flows,
     check_lemma_prolongation,
     flow,
+    format_polynomial,
     lie_bracket,
 )
 
@@ -19,7 +19,7 @@ print("=== exact brackets ===")
 x = PolyVectorField(["x2", "0"])     # y d/dx
 y = PolyVectorField(["0", "x1"])     # x d/dy
 br = lie_bracket(x, y)
-print(f"[y d/dx, x d/dy] = ({br.components[0]}, {br.components[1]})")
+print(f"[y d/dx, x d/dy] = ({', '.join(map(format_polynomial, br.components))})")
 
 jac = (lie_bracket(x, lie_bracket(y, br))
        + lie_bracket(y, lie_bracket(br, x))
@@ -28,12 +28,12 @@ print(f"Jacobi residual is zero: {jac.is_zero()}")
 
 print("\n=== numeric flows ===")
 scale = PolyVectorField(["x1"])
-end = flow(scale, [1.0], 1.0)
+end, err = flow(scale, [1.0], 1.0)
 print(f"flow of x d/dx from 1 over t=1: {end[0]:.12f}  (exact e = {np.e:.12f})")
-print(f"step-halving error estimate: {flow.last_error_estimate:.2e}")
+print(f"step-halving error estimate: {err:.2e}")
 
 rot = PolyVectorField(["-x2", "x1"])
-end = flow(rot, [1.0, 0.0], np.pi / 2)
+end, _ = flow(rot, [1.0, 0.0], np.pi / 2)
 print(f"quarter rotation of (1, 0): ({end[0]:.10f}, {end[1]:.10f})")
 
 print("\n=== flow commutator converges to the bracket ===")

@@ -7,7 +7,7 @@ bergman    weighted Bergman norms, kernel/projection, Toeplitz matrices
 bloch      alpha-Bloch seminorms, Mobius transforms, multipliers
 hardy      Hardy norms, Szego/Poisson kernels, Hardy-Toeplitz matrices
 gelfand    finite-group Gelfand pairs and spherical functions
-liefields  symbolic Lie brackets, flows, order-1 prolongation
+liefields  exact Lie brackets, flows, order-1 prolongation
 colombeau  mollifiers, regularization ladders, asymptotic orders
 cli        batch command-line front end (`funcalg ...`)
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .numcore import HoloPoly
 
@@ -56,6 +55,8 @@ def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
             break
 
     # local polish: the grid certifies the basin, Nelder-Mead pins the value
+    from scipy.optimize import minimize     # imported here: only this polish needs it
+
     def neg(x):
         r = min(max(x[0], 0.0), 1.0 - 1e-12)
         z = r * np.exp(1j * x[1])

@@ -30,6 +30,24 @@ class UsageError(Exception):
     pass
 
 
+class NonFiniteError(Exception):
+    """A result holds NaN or infinity: the computation diverged (exit 1)."""
+
+
+def _require(args, *names) -> None:
+    """Per-operation options of `hardy` that argparse cannot mark required."""
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise UsageError(f"hardy {args.hardy_op} needs {', '.join(missing)}")
+
+
+def _dump(record: dict) -> str:
+    try:
+        return dump_json(record)
+    except ValueError as exc:
+        raise NonFiniteError(f"non-finite value in the result ({exc})") from None
+
+
 def _write(path, text: str) -> None:
     if path:
         with open(path, "w") as fh:
@@ -48,7 +66,7 @@ def _config_of(args) -> dict:
 def _emit_record(args, record: dict) -> None:
     record = dict(record)
     record["config"] = _config_of(args)
-    _write(args.out, dump_json(record))
+    _write(args.out, _dump(record))
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +133,13 @@ def cmd_bloch(args) -> int:
 
 def cmd_hardy(args) -> int:
     if args.hardy_op == "norm":
+        _require(args, "poly")
         poly = HoloPoly(parse_coeff_list(args.poly))
         value = hardy.hardy_norm(poly, args.p)
         _emit_record(args, {"operation": "hardy_norm", "value": value})
         return 0
     if args.hardy_op == "kernel":
+        _require(args, "z", "xi")
         z = complex(args.z.replace("i", "j"))
         xi = complex(args.xi.replace("i", "j"))
         _emit_record(args, {
@@ -129,6 +149,7 @@ def cmd_hardy(args) -> int:
         })
         return 0
     if args.hardy_op == "toeplitz":
+        _require(args, "coeffs")
         phi_hat = parse_fourier_map(args.coeffs)
         full = {k: phi_hat.get(k, 0.0) for k in range(-args.cutoff, args.cutoff + 1)}
         mat = hardy.hardy_toeplitz(full, args.cutoff)
@@ -136,6 +157,7 @@ def cmd_hardy(args) -> int:
         _write(args.out, header + matrix_to_csv(mat.entries))
         return 0
     if args.hardy_op == "disc-membership":
+        _require(args, "symbol")
         func = parse_symbol_expression(args.symbol)
         pts = np.exp(2j * np.pi * np.arange(args.m) / args.m)
         member, witness = hardy.disc_algebra_membership(
@@ -182,7 +204,10 @@ def _load_fields(path) -> list[liefields.PolyVectorField]:
         for comp in comps:
             maps.append({tuple(int(t) for t in key.split(",")): val
                          for key, val in comp.items()})
-        fields.append(liefields.from_coeff_map(maps, d))
+        try:
+            fields.append(liefields.from_coeff_map(maps, d))
+        except liefields.FieldError as exc:     # a malformed file, not a divergence
+            raise UsageError(f"bad field file: {exc}") from None
     return fields
 
 
@@ -193,7 +218,8 @@ def cmd_lie(args) -> int:
             raise UsageError("bracket needs two fields")
         br = liefields.lie_bracket(fields[0], fields[1])
         _emit_record(args, {"operation": "lie_bracket",
-                            "components": [str(c) for c in br.components]})
+                            "components": [liefields.format_polynomial(c)
+                                           for c in br.components]})
         return 0
     if args.lie_op == "jacobi":
         if len(fields) < 3:
@@ -204,12 +230,15 @@ def cmd_lie(args) -> int:
                  + liefields.lie_bracket(z, liefields.lie_bracket(x, y)))
         holds = total.is_zero()
         _emit_record(args, {"operation": "jacobi", "holds": holds,
-                            "residual": [str(c) for c in total.components]})
+                            "residual": [liefields.format_polynomial(c)
+                                         for c in total.components]})
         return 0 if holds else 1
     if args.lie_op == "flows":
         if len(fields) < 2:
             raise UsageError("flows needs two fields")
         point = [float(t) for t in args.point.split(",")]
+        if len(point) != fields[0].dim:
+            raise UsageError(f"--point needs {fields[0].dim} coordinates, got {len(point)}")
         approx = liefields.bracket_via_flows(fields[0], fields[1], point, args.t)
         exact = liefields.lie_bracket(fields[0], fields[1])(point)
         _emit_record(args, {"operation": "bracket_via_flows",
@@ -253,8 +282,8 @@ def cmd_suite(args) -> int:
     print(f"suite {args.name}: {sum(r['passed'] for r in records)}/{len(records)} "
           f"passed ({elapsed:.2f}s wall)")
     if args.out:
-        _write(args.out, dump_json({"suite": args.name, "seed": args.seed,
-                                    "results": records}))
+        _write(args.out, _dump({"suite": args.name, "seed": args.seed,
+                                "results": records}))
     return 0 if all_pass else 1
 
 
@@ -367,7 +396,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except liefields.FieldError as exc:
+    except (liefields.FieldError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (UsageError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -33,9 +33,10 @@ def matrix_to_csv(mat: np.ndarray) -> str:
 
 
 def dump_json(record: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
+    """Deterministic strict JSON: sorted keys, fixed separators, trailing
+    newline.  Raises ValueError on NaN or infinity, which JSON cannot hold."""
     return json.dumps(record, sort_keys=True, separators=(", ", ": "),
-                      default=_json_default, indent=2) + "\n"
+                      default=_json_default, indent=2, allow_nan=False) + "\n"
 
 
 def _json_default(obj):

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import funcalg
 from funcalg.cli import main
-from funcalg.io import parse_complex
+from funcalg.io import dump_json, parse_complex
 
 
 def run(args):
@@ -206,6 +211,22 @@ class TestLie:
     def test_missing_file_exit_2(self):
         assert run(["lie", "bracket", "--fields", "/nonexistent.json"]) == 2
 
+    def test_bracket_rational_text(self, tmp_path):
+        # [x1/2 d/dx, x1^2 d/dx] = (x1/2 * 2 x1 - x1^2 / 2) d/dx = x1^2/2 d/dx
+        path = write_fields(tmp_path, {"dim": 1, "fields": [[{"1": "1/2"}], [{"2": 1}]]})
+        out = tmp_path / "br.json"
+        assert run(["lie", "bracket", "--fields", path, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["components"] == ["x1**2/2"]
+
+    def test_flows_point_dimension_exit_2(self, tmp_path):
+        path = write_fields(tmp_path, {"dim": 1, "fields": [[{"0": 1}], [{"1": 1}]]})
+        assert run(["lie", "flows", "--fields", path, "--point", "0.5,0.5"]) == 2
+
+    def test_nan_coefficient_exit_2(self, tmp_path):
+        path = tmp_path / "fields.json"
+        path.write_text('{"dim": 1, "fields": [[{"1": NaN}], [{"1": 1}]]}')
+        assert run(["lie", "bracket", "--fields", str(path)]) == 2
+
 
 class TestColombeau:
     def test_rate_csv(self, tmp_path):
@@ -248,5 +269,47 @@ class TestUsage:
     def test_no_command_exit_2(self):
         assert run([]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["hardy", "norm"],
+        ["hardy", "kernel", "--xi", "1"],
+        ["hardy", "kernel", "--z", "0.5"],
+        ["hardy", "toeplitz"],
+        ["hardy", "disc-membership"],
+    ])
+    def test_missing_per_operation_option_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "needs --" in err and "Traceback" not in err
+
     def test_unknown_command_exit_2(self):
         assert run(["frobnicate"]) == 2
+
+
+class TestStrictJson:
+    def test_dump_json_rejects_non_finite(self):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                dump_json({"value": bad})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_norm_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "n.json"
+        assert run(["bergman-norm", "--symbol", "1/(z-z)", "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_coefficient_bloch_exit_1(self, capsys):
+        assert run(["bloch", "--poly", "1,nan"]) == 1
+        assert capsys.readouterr().out == ""
+
+
+def test_cli_import_loads_neither_sympy_nor_scipy_optimize():
+    package_root = str(Path(funcalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, funcalg.cli; "
+            "print([m for m in ('sympy', 'scipy.optimize') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -65,6 +67,26 @@ class TestMollifier:
         fd = (m2(t + h) - m2(t - h)) / (2 * h)
         np.testing.assert_allclose(d1(t), fd, atol=1e-4)
 
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_derivative_fn_moment_identity(self, q, n):
+        # integration by parts against the compactly supported phi:
+        # int t^k phi^(n) = (-1)^n k!/(k-n)! int t^(k-n) phi, and 0 for k < n;
+        # the right side uses only phi itself, not the derivative recurrence
+        m = build_mollifier(q)
+        t, w = np.polynomial.legendre.leggauss(400)
+        dn, phi = m.derivative_fn(n)(t), m(t)
+        scale = np.sum(w * np.abs(dn))
+        for k in range(n + 4):
+            lhs = np.sum(w * t ** k * dn)
+            rhs = 0.0 if k < n else ((-1) ** n * math.factorial(k) / math.factorial(k - n)
+                                     * np.sum(w * t ** (k - n) * phi))
+            assert abs(lhs - rhs) <= 1e-12 * scale, (k, lhs, rhs)
+
+    def test_derivative_fn_rejects_negative_order(self, m2):
+        with pytest.raises(ValueError):
+            m2.derivative_fn(-1)
+
 
 class TestRegularize:
     def test_reproduces_low_degree(self, m2):
@@ -98,6 +120,15 @@ class TestRegularize:
         # oracle: exact derivative of f_eps for f = exp is f_eps itself
         f_eps = regularize(catalog("exp"), m2, 0.25, k_grid)
         np.testing.assert_allclose(d1, f_eps, atol=1e-9)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_derivative_route_higher_orders(self, m2, order):
+        # every derivative of the regularization of exp is f_eps itself; even
+        # and odd orders take opposite signs in the folded node pairs
+        k_grid = np.linspace(-0.5, 0.5, 41)
+        dn = regularize_derivative(catalog("exp"), m2, 0.25, k_grid, order)
+        f_eps = regularize(catalog("exp"), m2, 0.25, k_grid)
+        np.testing.assert_allclose(dn, f_eps, atol=1e-9)
 
 
 class TestSeminorm:
