@@ -329,7 +329,17 @@ def catalog(name: str):
         return lambda t: np.ones_like(np.asarray(t, dtype=float))
     if name.startswith("poly:"):
         k = int(name.split(":", 1)[1])
-        return lambda t: np.asarray(t, dtype=float) ** k
+
+        def power(t):
+            # repeated products: pow() takes a slow path on negative bases
+            t = np.asarray(t, dtype=float)
+            base = t if k >= 0 else 1.0 / t
+            out = np.ones_like(t)
+            for _ in range(abs(k)):
+                out = out * base
+            return out
+
+        return power
     if name == "abs":
         return lambda t: np.abs(np.asarray(t, dtype=float))
     if name == "heaviside":

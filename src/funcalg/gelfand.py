@@ -202,42 +202,52 @@ def double_cosets(group: FiniteGroup, k_members) -> list[np.ndarray]:
 
 def coset_basis(group: FiniteGroup, k_members) -> np.ndarray:
     """Stacked indicator functions of the double cosets, normalized by size."""
-    blocks = double_cosets(group, k_members)
-    basis = np.zeros((len(blocks), group.order), dtype=complex)
+    return _indicator_basis(double_cosets(group, k_members), group.order)
+
+
+def _indicator_basis(blocks, order: int) -> np.ndarray:
+    basis = np.zeros((len(blocks), order), dtype=complex)
     for i, block in enumerate(blocks):
         basis[i, block] = 1.0 / len(block)
     return basis
 
 
-def _structure_constants(group: FiniteGroup, basis: np.ndarray, blocks) -> np.ndarray:
-    """c[i, :, j] with e_i * e_j = sum_k c[i, k, j] e_k; raises if not closed."""
-    d = len(basis)
-    c = np.zeros((d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            conv = convolve(basis[i], basis[j], group)
-            for k, block in enumerate(blocks):
-                vals = conv[block]
-                if np.max(np.abs(vals - vals[0])) > 1e-12:
-                    raise GroupError("double-coset algebra is not closed")
-                c[i, k, j] = vals[0] * len(block)
-    return c
+def _coset_counts(group: FiniteGroup, blocks) -> np.ndarray:
+    """N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k}, r_k the first element of D_k.
+
+    e_i * e_j takes the value N[i, j, k] / (|G| |D_i| |D_j|) on D_k, so these
+    integers are the structure constants of the double-coset algebra.
+    """
+    d, n = len(blocks), group.order
+    block_of = np.empty(n, dtype=np.intp)
+    for i, block in enumerate(blocks):
+        block_of[block] = i
+    reps = np.array([block[0] for block in blocks])
+    # each x in G pairs with exactly one y = x^-1 r_k
+    y = group.mul[group.inv[:, None], reps[None, :]]         # n x d
+    idx = (block_of[:, None] * d + block_of[y]) * d + np.arange(d)
+    return np.bincount(idx.ravel(), minlength=d ** 3).reshape(d, d, d)
+
+
+def _commutator_report(group: FiniteGroup, blocks, counts: np.ndarray) -> dict:
+    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from exact counts."""
+    sizes = np.array([len(block) for block in blocks], dtype=float)
+    comm = (np.abs(counts - counts.transpose(1, 0, 2)).max(axis=2)
+            / (group.order * np.outer(sizes, sizes)))
+    comm = np.triu(comm, 1)
+    i, j = np.unravel_index(np.argmax(comm), comm.shape)
+    worst = float(comm[i, j])
+    gelfand = worst == 0.0
+    return {"gelfand": gelfand, "max_commutator": worst,
+            "witness": None if gelfand else (int(i), int(j))}
 
 
 def is_gelfand_pair(group: FiniteGroup, k_members) -> dict:
-    """Exhaustive commutativity check of the double-coset convolution algebra."""
-    basis = coset_basis(group, k_members)
-    worst = 0.0
-    witness = None
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            comm = convolve(basis[i], basis[j], group) - convolve(basis[j], basis[i], group)
-            norm = float(np.max(np.abs(comm)))
-            if norm > worst:
-                worst, witness = norm, (i, j)
-    gelfand = worst <= 1e-12
-    return {"gelfand": gelfand, "max_commutator": worst,
-            "witness": None if gelfand else witness}
+    """Exhaustive commutativity check of the double-coset convolution algebra,
+    exact on the integer structure constants; the witness is the first pair
+    (i, j) in row order with the largest commutator."""
+    blocks = double_cosets(group, k_members)
+    return _commutator_report(group, blocks, _coset_counts(group, blocks))
 
 
 def spherical_transform(f, phi, group: FiniteGroup) -> complex:
@@ -254,17 +264,22 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0,
     Computed as common eigenvectors of the commuting convolution operators on
     the double-coset basis (separated by a random generic combination), then
     cross-validated by exhaustive multiplicativity of the integration
-    functional on all basis pairs.
+    functional omega on all basis pairs: omega(e_i * e_j) = omega(e_i) omega(e_j),
+    with e_i * e_j expanded through the structure constants.
     """
-    report = is_gelfand_pair(group, k_members)
+    blocks = double_cosets(group, k_members)
+    counts = _coset_counts(group, blocks)
+    report = _commutator_report(group, blocks, counts)
     if not report["gelfand"]:
         raise GroupError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
-    blocks = double_cosets(group, k_members)
-    basis = coset_basis(group, k_members)
-    c = _structure_constants(group, basis, blocks)
+    d, n = len(blocks), group.order
+    sizes = np.array([len(block) for block in blocks], dtype=float)
+    basis = _indicator_basis(blocks, n)
+    # e_i * e_j = sum_k c[i, k, j] e_k
+    c = (counts * sizes / (n * np.outer(sizes, sizes)[:, :, None])).transpose(0, 2, 1)
 
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     generic = np.tensordot(coeffs, c, axes=(0, 0))          # d x d matrix
     _, vecs = np.linalg.eig(generic)
 
@@ -274,13 +289,9 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0,
         if abs(phi[group.id]) < 1e-12:
             raise GroupError("eigenvector vanishes at the identity")
         phi = phi / phi[group.id]
-        ok = all(
-            abs(spherical_transform(convolve(basis[i], basis[j], group), phi, group)
-                - spherical_transform(basis[i], phi, group)
-                * spherical_transform(basis[j], phi, group)) < tol
-            for i in range(len(basis)) for j in range(len(basis))
-        )
-        if not ok:
+        omega = basis @ phi[group.inv] / n                  # omega(e_i)
+        lhs = np.einsum("ikj,k->ij", c, omega)              # omega(e_i * e_j)
+        if np.max(np.abs(lhs - np.outer(omega, omega))) >= tol:
             raise GroupError("eigenvector failed the multiplicativity check")
         out.append(phi)
     return out

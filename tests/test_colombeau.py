@@ -231,6 +231,12 @@ class TestCatalog:
         np.testing.assert_allclose(catalog("heaviside")(t), [0.0, 0.5, 1.0])
         np.testing.assert_allclose(catalog("poly:3")(t), [-1.0, 0.0, 8.0])
 
+    def test_poly_matches_power(self):
+        t = np.linspace(-3.0, 3.0, 60)
+        for k in range(-3, 7):
+            np.testing.assert_allclose(catalog(f"poly:{k}")(t), t ** float(k), rtol=1e-14)
+        assert float(catalog("poly:3")(-2.0)) == -8.0
+
     def test_spike_mass(self):
         f = catalog("spike:0.5")
         x = np.linspace(-1, 1, 200001)

@@ -156,6 +156,61 @@ class TestGelfandPair:
         assert rep["gelfand"]
 
 
+    @staticmethod
+    def _convolution_report(group, k):
+        """is_gelfand_pair by explicit convolution of every basis pair."""
+        basis = gelfand.coset_basis(group, k)
+        worst, witness = 0.0, None
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                comm = (gelfand.convolve(basis[i], basis[j], group)
+                        - gelfand.convolve(basis[j], basis[i], group))
+                norm = float(np.max(np.abs(comm)))
+                if norm > worst + 1e-15:
+                    worst, witness = norm, (i, j)
+        return worst, witness
+
+    @pytest.mark.parametrize("name, pick", [
+        ("q8", lambda g: [g.id]),
+        ("s4", lambda g: [g.id]),
+        ("s4", lambda g: [g.id, first_transposition(g)]),
+        ("d5", lambda g: [g.id]),
+        ("d5", lambda g: [g.id, first_transposition(g)]),
+        ("z6", lambda g: [0, 3]),
+    ])
+    def test_commutator_matches_convolution(self, name, pick):
+        group = gelfand.GROUP_LIBRARY[name]()
+        k = pick(group)
+        rep = gelfand.is_gelfand_pair(group, k)
+        worst, witness = self._convolution_report(group, k)
+        assert rep["max_commutator"] == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        assert rep["gelfand"] == (worst < 1e-12)
+        assert rep["witness"] == (None if rep["gelfand"] else witness)
+
+    def test_structure_constants_match_convolution(self):
+        s4 = gelfand.symmetric(4)
+        k = [s4.id, first_transposition(s4)]
+        blocks = gelfand.double_cosets(s4, k)
+        basis = gelfand.coset_basis(s4, k)
+        counts = gelfand._coset_counts(s4, blocks)
+        for i in range(len(blocks)):
+            for j in range(len(blocks)):
+                conv = gelfand.convolve(basis[i], basis[j], s4)
+                for kk, block in enumerate(blocks):
+                    want = counts[i, j, kk] / (s4.order * len(blocks[i]) * len(blocks[j]))
+                    np.testing.assert_allclose(conv[block], want, atol=1e-15)
+
+    def test_s5_trivial_subgroup_rejected(self):
+        s5 = gelfand.symmetric(5)
+        rep = gelfand.is_gelfand_pair(s5, [s5.id])
+        assert not rep["gelfand"]
+        i, j = rep["witness"]
+        basis = gelfand.coset_basis(s5, [s5.id])
+        comm = (gelfand.convolve(basis[i], basis[j], s5)
+                - gelfand.convolve(basis[j], basis[i], s5))
+        assert np.max(np.abs(comm)) == pytest.approx(rep["max_commutator"], rel=1e-12)
+
+
 class TestSphericalFunctions:
     def test_z4_characters(self):
         # oracle: the characters j -> i^(jg) of Z4
@@ -180,6 +235,22 @@ class TestSphericalFunctions:
                     lhs = gelfand.spherical_transform(conv, phi, s3)
                     rhs = (gelfand.spherical_transform(basis[i], phi, s3)
                            * gelfand.spherical_transform(basis[j], phi, s3))
+                    assert abs(lhs - rhs) < 1e-10
+
+    def test_multiplicativity_s4_over_s3(self):
+        s4 = gelfand.symmetric(4)
+        elems = sorted(itertools.permutations(range(4)))
+        k = [i for i, e in enumerate(elems) if e[3] == 3]
+        basis = gelfand.coset_basis(s4, k)
+        sph = gelfand.spherical_functions(s4, k)
+        assert len(sph) == len(basis) == 2
+        for phi in sph:
+            for i in range(len(basis)):
+                for j in range(len(basis)):
+                    conv = gelfand.convolve(basis[i], basis[j], s4)
+                    lhs = gelfand.spherical_transform(conv, phi, s4)
+                    rhs = (gelfand.spherical_transform(basis[i], phi, s4)
+                           * gelfand.spherical_transform(basis[j], phi, s4))
                     assert abs(lhs - rhs) < 1e-10
 
     def test_count_matches_cosets(self, s3):
