@@ -7,7 +7,7 @@ Run with: python3 demos/bergman_toeplitz.py
 import numpy as np
 
 from funcalg import bergman
-from funcalg.numcore import HoloPoly, build_disc_quadrature
+from funcalg.numcore import HoloPoly, build_disc_quadrature, sample
 
 print("=== disc quadrature ===")
 q = build_disc_quadrature(alpha=0.0, n_rad=64, n_ang=256)
@@ -51,7 +51,7 @@ rep = bergman.check_convolution_submultiplicative(ring, ring, p=2.0, q=q)
 print(f"radius-independent trig polynomial: lhs={rep['lhs']:.6f} "
       f"rhs={rep['rhs']:.6f} holds={rep['holds']}")
 
-fz = bergman.sample_on_grid(lambda z: z, q)
+fz = sample(lambda z: z, q)
 rep = bergman.check_convolution_submultiplicative(fz, fz, p=2.0, q=q)
 print(f"monomial pair f=g=z:                lhs={rep['lhs']:.6f} "
       f"rhs={rep['rhs']:.6f} holds={rep['holds']}")

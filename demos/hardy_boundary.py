@@ -7,7 +7,7 @@ Run with: python3 demos/hardy_boundary.py
 import numpy as np
 
 from funcalg import hardy
-from funcalg.numcore import HoloPoly, boundary_grid_from
+from funcalg.numcore import HoloPoly, boundary_grid_from, boundary_points
 
 print("=== norms over the radius ladder ===")
 f = HoloPoly([1.0, 2.0 - 1.0j, 0.0, 0.5j])
@@ -17,7 +17,7 @@ print(f"hardy_norm (sup of the ladder): {hardy.hardy_norm(f, 2.0):.12f}")
 
 print("\n=== boundary kernels ===")
 print(f"Poisson kernel P(0.5, 1) = {hardy.poisson_kernel(0.5, 1.0)}  (exact 3)")
-xi = np.exp(2j * np.pi * np.arange(256) / 256)
+xi = boundary_points(256)
 print(f"Poisson mean at z=0.3+0.2i: "
       f"{np.mean(hardy.poisson_kernel(0.3 + 0.2j, xi)):.12f}  (exact 1)")
 
@@ -32,8 +32,8 @@ print(f"subharmonic bound |f(z)| <= Poisson average: {rep['holds']} "
       f"(lhs={rep['lhs']:.6f}, rhs={rep['rhs']:.6f})")
 
 print("\n=== Hardy-Toeplitz matrix ===")
-phi_hat = {k: 0.0 for k in range(-3, 4)}
-phi_hat.update({0: 1.0, 1: 2.0, -1: 3.0})
+phi_hat = np.zeros(7, dtype=complex)      # offsets -3..3, entry k mod 7 holds offset k
+phi_hat[[0, 1, -1]] = 1.0, 2.0, 3.0
 mat = hardy.hardy_toeplitz(phi_hat, 3).entries
 print("symbol with hat(0)=1, hat(1)=2, hat(-1)=3:")
 print(mat.real.astype(int))

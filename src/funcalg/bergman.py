@@ -8,38 +8,17 @@ e_k(z) = z^k / sqrt(m_k) with m_k the monomial moment of dA_alpha
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .numcore import (
+    BoundaryGrid,
     DiscQuadrature,
     GridError,
     HoloPoly,
-    BoundaryGrid,
-    inner_product,
+    OperatorMatrix,
+    node_vector,
     radial_moment,
 )
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Truncated operator matrix in the orthonormal monomial basis."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def adjoint(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T)
 
 
 def bergman_kernel(z: complex, u: complex) -> complex:
@@ -54,10 +33,7 @@ def bergman_norm(f, p: float, q: DiscQuadrature) -> float:
     """(integral |f|^p dA_alpha)^(1/p) on the quadrature grid."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    f = np.asarray(f, dtype=complex).ravel()
-    if f.shape != q.nodes.shape:
-        raise GridError("sample vector must match the node count")
-    return float(np.sum(q.weights * np.abs(f) ** p) ** (1.0 / p))
+    return float(np.sum(q.weights * np.abs(node_vector(f, q)) ** p) ** (1.0 / p))
 
 
 def _angular_spectra(phi, q: DiscQuadrature, n: int) -> np.ndarray:
@@ -65,10 +41,7 @@ def _angular_spectra(phi, q: DiscQuadrature, n: int) -> np.ndarray:
     the exact trapezoid-rule angular sums of the tensor quadrature."""
     if n >= q.n_ang // 2:
         raise GridError("cutoff exceeds the angular resolution of the grid")
-    phi = np.asarray(phi, dtype=complex).ravel()
-    if phi.shape != q.nodes.shape:
-        raise GridError("sample vector must match the node count")
-    return np.fft.fft(phi.reshape(q.n_rad, q.n_ang), axis=1) / q.n_ang
+    return np.fft.fft(node_vector(phi, q).reshape(q.n_rad, q.n_ang), axis=1) / q.n_ang
 
 
 def bergman_project(phi, q: DiscQuadrature, n: int) -> HoloPoly:
@@ -113,29 +86,15 @@ def circle_convolution(f: BoundaryGrid, g: BoundaryGrid) -> BoundaryGrid:
     return BoundaryGrid(angular_convolution(f.samples, g.samples))
 
 
-def _grid_norm(h: np.ndarray, p: float, q: DiscQuadrature) -> float:
-    """A^p norm of a (n_rad, n_ang) sample array via the tensor quadrature."""
-    means = np.mean(np.abs(h) ** p, axis=1)
-    return float(np.sum(q.radial_weights * means) ** (1.0 / p))
-
-
 def check_convolution_submultiplicative(f, g, p: float, q: DiscQuadrature) -> dict:
     """Check the Banach-algebra inequality ||f*g||_{A^p} <= ||f|| ||g||.
 
     f, g are (n_rad, n_ang) sample arrays; the convolution acts per radius in
     the angle variable.  Returns {lhs, rhs, holds}.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    f = np.asarray(f, dtype=complex).reshape(q.n_rad, q.n_ang)
-    g = np.asarray(g, dtype=complex).reshape(q.n_rad, q.n_ang)
+    f = node_vector(f, q).reshape(q.n_rad, q.n_ang)
+    g = node_vector(g, q).reshape(q.n_rad, q.n_ang)
     conv = angular_convolution(f, g)
-    lhs = _grid_norm(conv, p, q)
-    rhs = _grid_norm(f, p, q) * _grid_norm(g, p, q)
+    lhs = bergman_norm(conv, p, q)
+    rhs = bergman_norm(f, p, q) * bergman_norm(g, p, q)
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}
-
-
-def sample_on_grid(func, q: DiscQuadrature) -> np.ndarray:
-    """Evaluate a callable on the tensor grid, returned as (n_rad, n_ang)."""
-    nodes = q.nodes.reshape(q.n_rad, q.n_ang)
-    return np.asarray(func(nodes), dtype=complex)

@@ -20,10 +20,11 @@ from .io import (
     format_complex,
     matrix_to_csv,
     parse_coeff_list,
+    parse_complex,
     parse_fourier_map,
     parse_symbol_expression,
 )
-from .numcore import HoloPoly, BoundaryGrid, build_disc_quadrature
+from .numcore import HoloPoly, boundary_grid_from, build_disc_quadrature, sample
 
 
 class UsageError(Exception):
@@ -41,9 +42,11 @@ def _require(args, *names) -> None:
         raise UsageError(f"hardy {args.hardy_op} needs {', '.join(missing)}")
 
 
-def _dump(record: dict) -> str:
+def _finite(render, value) -> str:
+    """render(value); its ValueError means a NaN or infinity, which neither JSON
+    nor CSV may hold: the computation diverged."""
     try:
-        return dump_json(record)
+        return render(value)
     except ValueError as exc:
         raise NonFiniteError(f"non-finite value in the result ({exc})") from None
 
@@ -56,6 +59,10 @@ def _write(path, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_header(args) -> str:
+    return f"# config: {json.dumps(_config_of(args), sort_keys=True)}\n"
+
+
 def _config_of(args) -> dict:
     cfg = {k: v for k, v in vars(args).items()
            if k not in ("func", "out") and v is not None}
@@ -66,20 +73,24 @@ def _config_of(args) -> dict:
 def _emit_record(args, record: dict) -> None:
     record = dict(record)
     record["config"] = _config_of(args)
-    _write(args.out, _dump(record))
+    _write(args.out, _finite(dump_json, record))
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
 
-def cmd_toeplitz(args) -> int:
-    symbol = parse_symbol_expression(args.symbol)
+def _disc_samples(args, *symbols):
+    """The disc quadrature of the grid options, then each symbol sampled on it."""
     q = build_disc_quadrature(args.alpha, args.n_rad, args.n_ang)
-    mat = bergman.toeplitz_matrix(symbol(q.nodes), q, args.cutoff)
+    return q, *(sample(parse_symbol_expression(s), q) for s in symbols)
+
+
+def cmd_toeplitz(args) -> int:
+    q, phi = _disc_samples(args, args.symbol)
+    mat = bergman.toeplitz_matrix(phi, q, args.cutoff)
     if args.format == "csv":
-        header = f"# config: {json.dumps(_config_of(args), sort_keys=True)}\n"
-        _write(args.out, header + matrix_to_csv(mat.entries))
+        _write(args.out, _csv_header(args) + _finite(matrix_to_csv, mat.entries))
     else:
         _emit_record(args, {"operation": "toeplitz",
                             "matrix": [[format_complex(c) for c in row]
@@ -88,26 +99,22 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_bergman_project(args) -> int:
-    symbol = parse_symbol_expression(args.symbol)
-    q = build_disc_quadrature(args.alpha, args.n_rad, args.n_ang)
-    poly = bergman.bergman_project(symbol(q.nodes), q, args.cutoff)
+    q, phi = _disc_samples(args, args.symbol)
+    poly = bergman.bergman_project(phi, q, args.cutoff)
     _emit_record(args, {"operation": "bergman_project",
                         "coeffs": [format_complex(c) for c in poly.coeffs]})
     return 0
 
 
 def cmd_bergman_norm(args) -> int:
-    symbol = parse_symbol_expression(args.symbol)
-    q = build_disc_quadrature(args.alpha, args.n_rad, args.n_ang)
-    value = bergman.bergman_norm(symbol(q.nodes), args.p, q)
+    q, phi = _disc_samples(args, args.symbol)
+    value = bergman.bergman_norm(phi, args.p, q)
     _emit_record(args, {"operation": "bergman_norm", "value": value})
     return 0
 
 
 def cmd_bergman_convolution(args) -> int:
-    q = build_disc_quadrature(args.alpha, args.n_rad, args.n_ang)
-    f = parse_symbol_expression(args.f)(q.nodes.reshape(q.n_rad, q.n_ang))
-    g = parse_symbol_expression(args.g)(q.nodes.reshape(q.n_rad, q.n_ang))
+    q, f, g = _disc_samples(args, args.f, args.g)
     report = bergman.check_convolution_submultiplicative(f, g, args.p, q)
     record = {"operation": "convolution_submultiplicative", **report,
               "tolerance": 1e-9}
@@ -140,8 +147,7 @@ def cmd_hardy(args) -> int:
         return 0
     if args.hardy_op == "kernel":
         _require(args, "z", "xi")
-        z = complex(args.z.replace("i", "j"))
-        xi = complex(args.xi.replace("i", "j"))
+        z, xi = parse_complex(args.z), parse_complex(args.xi)
         _emit_record(args, {
             "operation": "hardy_kernel",
             "szego": format_complex(hardy.szego_kernel(z, xi)),
@@ -150,18 +156,13 @@ def cmd_hardy(args) -> int:
         return 0
     if args.hardy_op == "toeplitz":
         _require(args, "coeffs")
-        phi_hat = parse_fourier_map(args.coeffs)
-        full = {k: phi_hat.get(k, 0.0) for k in range(-args.cutoff, args.cutoff + 1)}
-        mat = hardy.hardy_toeplitz(full, args.cutoff)
-        header = f"# config: {json.dumps(_config_of(args), sort_keys=True)}\n"
-        _write(args.out, header + matrix_to_csv(mat.entries))
+        mat = hardy.hardy_toeplitz(parse_fourier_map(args.coeffs, args.cutoff), args.cutoff)
+        _write(args.out, _csv_header(args) + _finite(matrix_to_csv, mat.entries))
         return 0
     if args.hardy_op == "disc-membership":
         _require(args, "symbol")
-        func = parse_symbol_expression(args.symbol)
-        pts = np.exp(2j * np.pi * np.arange(args.m) / args.m)
         member, witness = hardy.disc_algebra_membership(
-            BoundaryGrid(func(pts)), args.tol)
+            boundary_grid_from(parse_symbol_expression(args.symbol), args.m), args.tol)
         _emit_record(args, {"operation": "disc_algebra_membership",
                             "member": member, "witness": witness,
                             "tolerance": args.tol})
@@ -259,11 +260,9 @@ def cmd_colombeau(args) -> int:
     else:
         net = colombeau.seminorm_net(f, m, alpha=args.alpha)
     rep = colombeau.estimate_order(net)
-    lines = [f"# config: {json.dumps(_config_of(args), sort_keys=True)}",
-             f"# slope: {rep.slope:.17g}",
-             "epsilon,value"]
+    lines = [f"# slope: {rep.slope:.17g}", "epsilon,value"]
     lines += [f"{e:.17g},{v:.17g}" for e, v in zip(net.epsilons, net.values)]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _csv_header(args) + "\n".join(lines) + "\n")
     return 0
 
 
@@ -282,8 +281,8 @@ def cmd_suite(args) -> int:
     print(f"suite {args.name}: {sum(r['passed'] for r in records)}/{len(records)} "
           f"passed ({elapsed:.2f}s wall)")
     if args.out:
-        _write(args.out, _dump({"suite": args.name, "seed": args.seed,
-                                "results": records}))
+        _write(args.out, _finite(dump_json, {"suite": args.name, "seed": args.seed,
+                                             "results": records}))
     return 0 if all_pass else 1
 
 
@@ -396,7 +395,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (liefields.FieldError, NonFiniteError) as exc:
+    except (liefields.FieldError, NonFiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except (UsageError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -149,43 +149,6 @@ def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np
 # seminorms and order estimation
 # ---------------------------------------------------------------------------
 
-def _fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the given derivative order on unit offsets."""
-    n = len(offsets)
-    mat = np.vander(offsets, n, increasing=True).T   # row m: offsets^m
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(mat, rhs)
-
-
-_STENCILS = {
-    0: np.array([0]),
-    1: np.arange(-2, 3),
-    2: np.arange(-2, 3),
-    3: np.arange(-3, 4),
-    4: np.arange(-3, 4),
-}
-
-
-def seminorm(samples, k_grid, alpha: int) -> float:
-    """sup over the grid of the alpha-th central finite difference (4th order)."""
-    if alpha not in _STENCILS:
-        raise ValueError(f"derivative order must be 0..4, got {alpha}")
-    samples = np.asarray(samples, dtype=float)
-    k_grid = np.asarray(k_grid, dtype=float)
-    if alpha == 0:
-        return float(np.max(np.abs(samples)))
-    offs = _STENCILS[alpha]
-    if len(samples) < 2 * len(offs):
-        raise ValueError("grid too coarse for the requested derivative order")
-    h = k_grid[1] - k_grid[0]
-    w = _fornberg_weights(alpha, offs.astype(float)) / h ** alpha
-    half = offs[-1]
-    acc = sum(wi * samples[half + o: len(samples) - half + o or None]
-              for wi, o in zip(w, offs))
-    return float(np.max(np.abs(acc)))
-
-
 def default_ladder(j_max: int = 12, j_min: int = 1) -> np.ndarray:
     return 2.0 ** -np.arange(j_min, j_max + 1)
 
@@ -250,51 +213,37 @@ def estimate_order(net: EpsilonNet, negligible_order: int | None = None,
 # defect experiments
 # ---------------------------------------------------------------------------
 
-def taylor_defect(f, m: Mollifier, epsilons=None, k_grid=None) -> EpsilonNet:
-    """Per-epsilon sup over K of |f - f * phi_eps|."""
+def _ladder(defect_at, epsilons, k_grid, **meta) -> EpsilonNet:
+    """Per-epsilon sup over K of |defect_at(eps, K)|; by default eps runs over
+    2^-1 .. 2^-12 and K holds 801 points of [-1, 1]."""
     epsilons = default_ladder() if epsilons is None else np.asarray(epsilons, float)
     k_grid = np.linspace(-1.0, 1.0, 801) if k_grid is None else np.asarray(k_grid, float)
-    exact = np.asarray(f(k_grid), dtype=float)
-    vals = np.array([
-        np.max(np.abs(exact - regularize(f, m, e, k_grid))) for e in epsilons
-    ])
+    vals = np.array([np.max(np.abs(defect_at(e, k_grid))) for e in epsilons])
     return EpsilonNet(epsilons=epsilons, values=vals,
-                      meta={"K": (float(k_grid[0]), float(k_grid[-1])),
-                            "alpha": 0, "q": m.q, "defect": "taylor"})
+                      meta={"K": (float(k_grid[0]), float(k_grid[-1])), **meta})
+
+
+def taylor_defect(f, m: Mollifier, epsilons=None, k_grid=None) -> EpsilonNet:
+    """Per-epsilon sup over K of |f - f * phi_eps|."""
+    return _ladder(lambda e, k: np.asarray(f(k), dtype=float) - regularize(f, m, e, k),
+                   epsilons, k_grid, alpha=0, q=m.q, defect="taylor")
 
 
 def product_defect(f, g, m: Mollifier, epsilons=None, k_grid=None) -> EpsilonNet:
     """Per-epsilon sup of |(f*phi_eps)(g*phi_eps) - (fg)*phi_eps|."""
-    epsilons = default_ladder() if epsilons is None else np.asarray(epsilons, float)
-    k_grid = np.linspace(-1.0, 1.0, 801) if k_grid is None else np.asarray(k_grid, float)
 
     def fg(t):
         return np.asarray(f(t), float) * np.asarray(g(t), float)
 
-    vals = np.array([
-        np.max(np.abs(regularize(f, m, e, k_grid) * regularize(g, m, e, k_grid)
-                      - regularize(fg, m, e, k_grid)))
-        for e in epsilons
-    ])
-    return EpsilonNet(epsilons=epsilons, values=vals,
-                      meta={"K": (float(k_grid[0]), float(k_grid[-1])),
-                            "alpha": 0, "q": m.q, "defect": "product"})
+    return _ladder(lambda e, k: (regularize(f, m, e, k) * regularize(g, m, e, k)
+                                 - regularize(fg, m, e, k)),
+                   epsilons, k_grid, alpha=0, q=m.q, defect="product")
 
 
-def seminorm_net(f, m: Mollifier, alpha: int, epsilons=None, k_grid=None,
-                 exact_route: bool = True) -> EpsilonNet:
-    """Per-epsilon derivative seminorm ladder of the regularization of f."""
-    epsilons = default_ladder() if epsilons is None else np.asarray(epsilons, float)
-    k_grid = np.linspace(-1.0, 1.0, 801) if k_grid is None else np.asarray(k_grid, float)
-    vals = []
-    for e in epsilons:
-        if exact_route and alpha > 0:
-            vals.append(np.max(np.abs(regularize_derivative(f, m, e, k_grid, alpha))))
-        else:
-            vals.append(seminorm(regularize(f, m, e, k_grid), k_grid, alpha))
-    return EpsilonNet(epsilons=epsilons, values=np.array(vals),
-                      meta={"K": (float(k_grid[0]), float(k_grid[-1])),
-                            "alpha": alpha, "q": m.q, "defect": "seminorm"})
+def seminorm_net(f, m: Mollifier, alpha: int, epsilons=None, k_grid=None) -> EpsilonNet:
+    """Per-epsilon sup over K of |d^alpha f_eps|, by the exact derivative route."""
+    return _ladder(lambda e, k: regularize_derivative(f, m, e, k, alpha),
+                   epsilons, k_grid, alpha=alpha, q=m.q, defect="seminorm")
 
 
 def l1_embedding_bound(f, m: Mollifier, eps: float, k_grid=None,

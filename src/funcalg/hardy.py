@@ -7,31 +7,18 @@ with the discrete Fourier analysis in :mod:`funcalg.numcore`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .numcore import BoundaryGrid, HoloPoly, boundary_fourier
+from .numcore import (
+    BoundaryGrid,
+    HoloPoly,
+    OperatorMatrix,
+    boundary_fourier,
+    boundary_points,
+)
 
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
-
-
-@dataclass(frozen=True)
-class HardyToeplitz:
-    """Toeplitz matrix M[j, k] = phi_hat(j - k) in the monomial basis of H^2."""
-
-    entries: np.ndarray
-
-    def __init__(self, entries):
-        arr = np.asarray(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def hardy_norm(f: HoloPoly, p: float, radii=RADIUS_LADDER, m: int = 512) -> float:
@@ -41,7 +28,7 @@ def hardy_norm(f: HoloPoly, p: float, radii=RADIUS_LADDER, m: int = 512) -> floa
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(radii >= 1):
         raise ValueError("radii must lie in (0, 1)")
-    ring = np.exp(2j * np.pi * np.arange(m) / m)
+    ring = boundary_points(m)
     means = [np.mean(np.abs(f(r * ring)) ** p) ** (1.0 / p) for r in radii]
     return float(max(means))
 
@@ -77,28 +64,24 @@ def poisson_kernel(z: complex, xi):
     return out if out.shape else float(out)
 
 
-def _boundary_points(m: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m) / m)
+def _reproduce(kernel, f: HoloPoly, z: complex, m: int) -> complex:
+    """Mean over the m-point boundary grid of f(xi) kernel(z, xi)."""
+    if abs(z) > 0.9:
+        raise ValueError("|z| <= 0.9 required to control quadrature error")
+    if f.degree >= m // 4:
+        raise ValueError("polynomial degree too high for the boundary grid")
+    xi = boundary_points(m)
+    return complex(np.mean(f(xi) * kernel(z, xi)))
 
 
 def szego_reproduce(f: HoloPoly, z: complex, m: int = 256) -> complex:
     """Discrete Cauchy integral: mean over the grid of f(xi) C(z, xi)."""
-    if abs(z) > 0.9:
-        raise ValueError("|z| <= 0.9 required to control quadrature error")
-    if f.degree >= m // 4:
-        raise ValueError("polynomial degree too high for the boundary grid")
-    xi = _boundary_points(m)
-    return complex(np.mean(f(xi) * szego_kernel(z, xi)))
+    return _reproduce(szego_kernel, f, z, m)
 
 
 def poisson_reproduce(f: HoloPoly, z: complex, m: int = 256) -> complex:
     """Discrete Poisson integral of a holomorphic polynomial at z."""
-    if abs(z) > 0.9:
-        raise ValueError("|z| <= 0.9 required to control quadrature error")
-    if f.degree >= m // 4:
-        raise ValueError("polynomial degree too high for the boundary grid")
-    xi = _boundary_points(m)
-    return complex(np.mean(f(xi) * poisson_kernel(z, xi)))
+    return _reproduce(poisson_kernel, f, z, m)
 
 
 def subharmonic_check(f: HoloPoly, z: complex, p: float, m: int = 256) -> dict:
@@ -107,47 +90,57 @@ def subharmonic_check(f: HoloPoly, z: complex, p: float, m: int = 256) -> dict:
         raise ValueError(f"p must be positive, got {p}")
     if abs(z) > 0.9:
         raise ValueError("|z| <= 0.9 required to control quadrature error")
-    xi = _boundary_points(m)
+    xi = boundary_points(m)
     lhs = abs(f(z)) ** p
     rhs = float(np.mean(poisson_kernel(z, xi) * np.abs(f(xi)) ** p))
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-8)}
 
 
-def hardy_toeplitz(phi_hat: dict[int, complex], n: int) -> HardyToeplitz:
-    """Hardy-Toeplitz matrix from a symbol's Fourier coefficient map."""
-    missing = [k for k in range(-n, n + 1) if k not in phi_hat]
-    if missing:
-        raise KeyError(f"missing Fourier coefficients for offsets {missing}")
-    col = np.array([phi_hat[k] for k in range(n + 1)], dtype=complex)
-    row = np.array([phi_hat[-k] for k in range(n + 1)], dtype=complex)
-    return HardyToeplitz(toeplitz(col, row))
+def hardy_toeplitz(phi_hat: np.ndarray, n: int) -> OperatorMatrix:
+    """Toeplitz matrix M[j, k] = phi_hat(j - k) in the monomial basis of H^2,
+    from a Fourier array in FFT order (see :func:`numcore.boundary_fourier`)."""
+    if len(phi_hat) < 2 * n + 1:
+        raise ValueError(f"cutoff {n} needs Fourier coefficients for offsets "
+                         f"-{n}..{n}, got an array of length {len(phi_hat)}")
+    return OperatorMatrix(toeplitz(phi_hat[: n + 1], phi_hat[-np.arange(n + 1)]))
 
 
-def conjugate_symbol(phi_hat: dict[int, complex]) -> dict[int, complex]:
+def conjugate_symbol(phi_hat: np.ndarray) -> np.ndarray:
     """Fourier coefficients of conj(phi): reflect and conjugate."""
-    return {-k: np.conj(c) for k, c in phi_hat.items()}
+    return np.conj(phi_hat[-np.arange(len(phi_hat))])
 
 
-def symbol_product(a_hat: dict[int, complex], b_hat: dict[int, complex]) -> dict[int, complex]:
-    """Fourier coefficients of the pointwise product of two symbols."""
-    out: dict[int, complex] = {}
-    for ka, ca in a_hat.items():
-        for kb, cb in b_hat.items():
-            out[ka + kb] = out.get(ka + kb, 0.0) + ca * cb
+def symbol_product(a_hat: np.ndarray, b_hat: np.ndarray) -> np.ndarray:
+    """Fourier coefficients of the pointwise product of two symbols: the full
+    product, of length len(a_hat) + len(b_hat) - 1, in FFT order.
+
+    At least one length must be odd; two even lengths would put the top
+    offset of the product where the FFT order reads the bottom one.
+    """
+    la, lb = len(a_hat), len(b_hat)
+    if la % 2 == 0 and lb % 2 == 0:
+        raise ValueError("at least one Fourier array must have odd length")
+    size = la + lb - 1
+    out = np.zeros(size, dtype=complex)
+    np.add.at(out, (_offsets(la)[:, None] + _offsets(lb)) % size,
+              np.multiply.outer(a_hat, b_hat))
     return out
+
+
+def _offsets(size: int) -> np.ndarray:
+    """Offset k held at each index of an FFT-order array, -size/2 < k <= size/2."""
+    i = np.arange(size)
+    return np.where(i <= size // 2, i, i - size)
 
 
 def disc_algebra_membership(b: BoundaryGrid, tol: float = 1e-10):
     """True iff all negative Fourier coefficients vanish below tol.
 
     Returns (member, witness) where witness is the most offending negative
-    index, or None for members.
+    index (the most negative one among ties), or None for members.
     """
-    coeffs = boundary_fourier(b)
-    neg = {k: abs(c) for k, c in coeffs.items() if k < 0}
-    if not neg:
+    first = b.size // 2 + 1             # index of offset -M/2 + 1
+    neg = np.abs(boundary_fourier(b)[first:])
+    if neg.size == 0 or neg.max() < tol:
         return True, None
-    worst = max(neg, key=neg.get)
-    if neg[worst] < tol:
-        return True, None
-    return False, worst
+    return False, int(np.argmax(neg)) + first - b.size

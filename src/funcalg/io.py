@@ -3,8 +3,8 @@ CSV matrix export and the small symbol/polynomial expression parsers."""
 
 from __future__ import annotations
 
+import ast
 import json
-import re
 
 import numpy as np
 
@@ -26,8 +26,11 @@ def parse_complex(s: str) -> complex:
 
 
 def matrix_to_csv(mat: np.ndarray) -> str:
-    """Row-major CSV of a complex matrix with re+imi cells."""
+    """Row-major CSV of a complex matrix with re+imi cells.  Raises ValueError
+    on NaN or infinity, as :func:`dump_json` does."""
     mat = np.asarray(mat, dtype=complex)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix holds NaN or infinity")
     lines = [",".join(format_complex(c) for c in row) for row in mat]
     return "\n".join(lines) + "\n"
 
@@ -53,31 +56,64 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-_SYMBOL_TOKEN = re.compile(r"^[\sz0-9+\-*/().^jconjabs|]*$")
+_SYMBOL_FUNCS = {"conj": np.conj, "abs2": lambda w: np.abs(w) ** 2}
+_SYMBOL_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
+_SIGNS = (ast.UAdd, ast.USub)
 
 
 def parse_symbol_expression(expr: str):
     """Compile a symbol expression in z, conj(z) and |z|^2 to a grid callable.
 
-    Accepted grammar: complex constants, z, conj(z), abs2(z) or |z|^2,
-    arithmetic + - * / ( ) and ^ for powers.
+    Accepted grammar: numeric constants, z, conj(.) and abs2(.) of one
+    argument, |z|^2, + - * / with unary signs, and ^ or ** to a numeric literal
+    power of modulus at most 64.  Integer constants other than exponents are
+    read as floats, so no subexpression grows into an unbounded integer.
     """
     cleaned = expr.replace("|z|^2", "abs2(z)").replace("|z|**2", "abs2(z)")
-    cleaned = cleaned.replace("^", "**")
-    if not _SYMBOL_TOKEN.match(cleaned):
-        raise ValueError(f"symbol expression contains unsupported characters: {expr!r}")
-    code = compile(cleaned, "<symbol>", "eval")
-    for name in code.co_names:
-        if name not in {"z", "conj", "abs2"}:
-            raise ValueError(f"unknown name {name!r} in symbol expression")
+    try:
+        tree = ast.parse(cleaned.replace("^", "**"), mode="eval")
+        _check_symbol_node(tree.body)
+        code = compile(tree, "<symbol>", "eval")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ValueError(f"cannot parse symbol expression: {exc}") from None
 
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
-        env = {"z": z, "conj": np.conj, "abs2": lambda w: np.abs(w) ** 2}
+        env = {"z": z, **_SYMBOL_FUNCS}
         return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
                                           dtype=complex), z.shape).copy()
 
     return evaluate
+
+
+def _check_symbol_node(node) -> None:
+    """Raise ValueError unless node lies in the symbol grammar; turns integer
+    constants other than exponents into floats."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        e = node.right
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, _SIGNS):
+            e = e.operand
+        if not (_is_number(e) and abs(e.value) <= 64):
+            raise ValueError("an exponent must be a numeric literal of modulus <= 64")
+        _check_symbol_node(node.left)
+    elif isinstance(node, ast.BinOp) and isinstance(node.op, _SYMBOL_BINOPS):
+        _check_symbol_node(node.left)
+        _check_symbol_node(node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
+        _check_symbol_node(node.operand)
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+          and node.func.id in _SYMBOL_FUNCS and len(node.args) == 1 and not node.keywords):
+        _check_symbol_node(node.args[0])
+    elif _is_number(node):
+        if isinstance(node.value, int):
+            node.value = float(node.value)
+    elif not (isinstance(node, ast.Name) and node.id == "z"):
+        raise ValueError(f"unsupported {ast.unparse(node)[:40]!r} in symbol expression")
+
+
+def _is_number(node) -> bool:
+    return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and isinstance(node.value, (int, float, complex)))
 
 
 def parse_coeff_list(s: str) -> np.ndarray:
@@ -86,12 +122,15 @@ def parse_coeff_list(s: str) -> np.ndarray:
                     dtype=complex)
 
 
-def parse_fourier_map(s: str) -> dict[int, complex]:
-    """Symbol Fourier coefficients as 'k:value' pairs separated by commas."""
-    out: dict[int, complex] = {}
+def parse_fourier_map(s: str, n: int) -> np.ndarray:
+    """Symbol Fourier coefficients from 'k:value' pairs separated by commas, as
+    a length-(2n+1) array in FFT order; offsets with |k| > n are dropped."""
+    out = np.zeros(2 * n + 1, dtype=complex)
     for item in s.split(","):
         if not item.strip():
             continue
         k, val = item.split(":")
-        out[int(k)] = parse_complex(val)
+        k, c = int(k), parse_complex(val)
+        if abs(k) <= n:
+            out[k] = c
     return out

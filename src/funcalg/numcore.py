@@ -42,7 +42,12 @@ class HoloPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, z):
-        return eval_poly(self, z)
+        """Horner evaluation at z (scalar or array)."""
+        z = np.asarray(z, dtype=complex)
+        acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
+        for c in self.coeffs[-2::-1]:
+            acc = acc * z + c
+        return acc if acc.shape else complex(acc)
 
     def __add__(self, other: "HoloPoly") -> "HoloPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -63,15 +68,6 @@ class HoloPoly:
             return HoloPoly([0.0])
         k = np.arange(1, len(self.coeffs))
         return HoloPoly(self.coeffs[1:] * k)
-
-
-def eval_poly(p: HoloPoly, z) -> complex:
-    """Horner evaluation of p at z (scalar or array)."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.full(z.shape, p.coeffs[-1], dtype=complex)
-    for c in p.coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc if acc.shape else complex(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +129,33 @@ def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadratur
 
 def inner_product(f, g, q: DiscQuadrature) -> complex:
     """<f, g> = sum w_i f(z_i) conj(g(z_i)) on the quadrature nodes."""
+    return complex(np.sum(q.weights * node_vector(f, q) * np.conj(node_vector(g, q))))
+
+
+def node_vector(f, q: DiscQuadrature) -> np.ndarray:
+    """f as one complex sample per node of q, flat; GridError if the count differs."""
     f = np.asarray(f, dtype=complex).ravel()
-    g = np.asarray(g, dtype=complex).ravel()
-    if f.shape != q.nodes.shape or g.shape != q.nodes.shape:
-        raise GridError("sample vectors must match the node count")
-    return complex(np.sum(q.weights * f * np.conj(g)))
+    if f.shape != q.nodes.shape:
+        raise GridError("sample vector must match the node count")
+    return f
 
 
 def sample(func, q: DiscQuadrature) -> np.ndarray:
-    """Evaluate a callable (or HoloPoly) on the quadrature nodes."""
-    return np.asarray(func(q.nodes), dtype=complex)
+    """Evaluate a callable (or HoloPoly) on the tensor grid, as (n_rad, n_ang)."""
+    return np.asarray(func(q.nodes.reshape(q.n_rad, q.n_ang)), dtype=complex)
+
+
+@dataclass(frozen=True)
+class OperatorMatrix:
+    """Truncated operator matrix in an orthonormal monomial basis."""
+
+    entries: np.ndarray
+
+    def __init__(self, entries):
+        arr = np.asarray(entries, dtype=complex)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("entries must be a square matrix")
+        object.__setattr__(self, "entries", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +179,27 @@ class BoundaryGrid:
     def size(self) -> int:
         return len(self.samples)
 
-    @property
-    def points(self) -> np.ndarray:
-        m = self.size
-        return np.exp(2j * np.pi * np.arange(m) / m)
+
+def boundary_points(m: int) -> np.ndarray:
+    """The m equispaced points exp(2 pi i j / m) of the unit circle."""
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def boundary_grid_from(func, m: int) -> BoundaryGrid:
     """Sample a callable on the m-point boundary grid."""
-    pts = np.exp(2j * np.pi * np.arange(m) / m)
-    return BoundaryGrid(np.asarray(func(pts), dtype=complex))
+    return BoundaryGrid(np.asarray(func(boundary_points(m)), dtype=complex))
 
 
-def boundary_fourier(b: BoundaryGrid) -> dict[int, complex]:
-    """Discrete Fourier coefficients f_hat(k) for -M/2 < k <= M/2.
+def boundary_fourier(b: BoundaryGrid) -> np.ndarray:
+    """Discrete Fourier coefficients in FFT order: entry k mod M holds f_hat(k)
+    for -M/2 < k <= M/2, so ``c[k]`` reads offset k for either sign.
 
     Matches the normalized boundary integral of f(xi) xi^(-k) exactly for
     trigonometric polynomials of degree < M/2.
     """
-    m = b.size
-    coeffs = np.fft.fft(b.samples) / m
-    return {(i if i <= m // 2 else i - m): complex(c) for i, c in enumerate(coeffs)}
+    return np.fft.fft(b.samples) / b.size
 
 
-def boundary_synthesis(coeffs: dict[int, complex], m: int) -> BoundaryGrid:
-    """Inverse of :func:`boundary_fourier` on an m-point grid."""
-    spec = np.zeros(m, dtype=complex)
-    for k, c in coeffs.items():
-        spec[k % m] += c
-    return BoundaryGrid(np.fft.ifft(spec) * m)
+def boundary_synthesis(coeffs: np.ndarray) -> BoundaryGrid:
+    """Inverse of :func:`boundary_fourier` on a grid of len(coeffs) points."""
+    return BoundaryGrid(np.fft.ifft(coeffs) * len(coeffs))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from funcalg import bergman
-from funcalg.numcore import GridError, HoloPoly, build_disc_quadrature
+from funcalg import bergman, numcore
+from funcalg.numcore import GridError, HoloPoly, build_disc_quadrature, sample
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,11 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             bergman.OperatorMatrix(np.ones((2, 3)))
 
+    def test_one_matrix_type(self, quad):
+        mat = bergman.toeplitz_matrix(np.ones(len(quad.nodes)), quad, 2)
+        assert isinstance(mat, numcore.OperatorMatrix)
+        assert bergman.OperatorMatrix is numcore.OperatorMatrix
+
 
 def exact_moment(alpha, k):
     """m_k = k! Gamma(alpha+2) / Gamma(k+alpha+2), computed without quadrature."""
@@ -223,7 +228,7 @@ class TestSubmultiplicativity:
     def test_monomial_pair_fails_honestly(self, quad):
         # f = g = z: lhs = 1/sqrt(3) > 1/2 = rhs, so the general radius-
         # dependent inequality does NOT hold for this pair
-        f = bergman.sample_on_grid(lambda z: z, quad)
+        f = sample(lambda z: z, quad)
         rep = bergman.check_convolution_submultiplicative(f, f, 2.0, quad)
         assert rep["lhs"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-9)
         assert rep["rhs"] == pytest.approx(0.5, abs=1e-9)
@@ -246,3 +251,10 @@ class TestSubmultiplicativity:
         assert rep["lhs"] == pytest.approx(1.0, abs=1e-12)
         assert rep["rhs"] == pytest.approx(1.0, abs=1e-12)
         assert rep["holds"]
+
+    def test_rejects_bad_input(self, quad):
+        ones = np.ones((quad.n_rad, quad.n_ang), dtype=complex)
+        with pytest.raises(ValueError):
+            bergman.check_convolution_submultiplicative(ones, ones, 0.0, quad)
+        with pytest.raises(GridError):
+            bergman.check_convolution_submultiplicative(ones[:, :8], ones, 2.0, quad)

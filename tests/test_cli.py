@@ -302,14 +302,50 @@ class TestStrictJson:
         assert run(["bloch", "--poly", "1,nan"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_toeplitz_csv_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        assert run(["toeplitz", "--symbol", "1/(z-z)", "--cutoff", "1",
+                    "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_hardy_toeplitz_csv_exit_1(self, capsys):
+        assert run(["hardy", "toeplitz", "--coeffs", "0:nan", "--cutoff", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+
+class TestBadInput:
+    def test_negative_colombeau_order_exit_2(self, capsys):
+        assert run(["colombeau", "rate", "--f", "abs", "--alpha", "-1"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_constant_overflow_exit_1(self, capsys):
+        # 9.0^64 overflows on the next power: a divergence, not a traceback
+        assert run(["bergman-norm", "--symbol", "((9^64)^64)^64"]) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_tower_of_powers_exits_2_quickly(self):
+        proc = subprocess.run([sys.executable, "-m", "funcalg.cli", "bergman-norm",
+                               "--symbol", "9^9^9^9"],
+                              capture_output=True, text=True, env=_checkout_env(), timeout=10)
+        assert proc.returncode == 2
+        assert "exponent" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _checkout_env() -> dict:
+    """Environment for a subprocess that imports the funcalg under test."""
+    package_root = str(Path(funcalg.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+
 
 def test_cli_import_loads_neither_sympy_nor_scipy_optimize():
-    package_root = str(Path(funcalg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     code = ("import sys, funcalg.cli; "
             "print([m for m in ('sympy', 'scipy.optimize') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

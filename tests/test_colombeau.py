@@ -16,7 +16,6 @@ from funcalg.colombeau import (
     product_defect,
     regularize,
     regularize_derivative,
-    seminorm,
     seminorm_net,
     taylor_defect,
 )
@@ -131,25 +130,23 @@ class TestRegularize:
         np.testing.assert_allclose(dn, f_eps, atol=1e-9)
 
 
-class TestSeminorm:
-    def test_alpha0_is_sup(self):
-        grid = np.linspace(-1, 1, 101)
-        assert seminorm(np.sin(3 * grid), grid, 0) == pytest.approx(
-            np.max(np.abs(np.sin(3 * grid))), abs=1e-15)
+class TestSeminormNet:
+    def test_alpha0_is_sup_of_regularization(self, m2):
+        # oracle: the ladder value at alpha = 0 is max |f_eps| on the grid
+        k_grid = np.linspace(-1, 1, 101)
+        eps = np.array([0.5, 0.25])
+        net = seminorm_net(catalog("sin"), m2, 0, epsilons=eps, k_grid=k_grid)
+        expected = [np.max(np.abs(regularize(catalog("sin"), m2, e, k_grid))) for e in eps]
+        np.testing.assert_array_equal(net.values, expected)
 
-    def test_first_derivative_of_polynomial(self):
-        grid = np.linspace(-1, 1, 201)
-        vals = grid ** 2
-        # derivative 2t has sup 2 on [-1, 1]; interior stencil reaches |t| <= ~0.98
-        assert seminorm(vals, grid, 1) == pytest.approx(2.0, abs=0.05)
+    def test_second_derivative_of_quadratic(self, m2):
+        # (t^2 + c)'' = 2 for the constant c that regularization adds
+        net = seminorm_net(catalog("poly:2"), m2, 2, epsilons=[0.5, 0.25])
+        np.testing.assert_allclose(net.values, 2.0, atol=1e-9)
 
-    def test_second_derivative_exact_for_quadratic(self):
-        grid = np.linspace(-1, 1, 201)
-        assert seminorm(3 * grid ** 2, grid, 2) == pytest.approx(6.0, abs=1e-9)
-
-    def test_rejects_order_5(self):
+    def test_rejects_negative_order(self, m2):
         with pytest.raises(ValueError):
-            seminorm(np.zeros(100), np.linspace(-1, 1, 100), 5)
+            seminorm_net(catalog("abs"), m2, -1)
 
 
 class TestEstimateOrder:

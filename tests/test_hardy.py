@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from funcalg import hardy
-from funcalg.numcore import BoundaryGrid, HoloPoly, boundary_grid_from
+from funcalg.numcore import HoloPoly, OperatorMatrix, boundary_fourier, boundary_grid_from
 
 
 class TestNorm:
@@ -87,41 +87,102 @@ class TestReproduction:
             hardy.szego_reproduce(f, 0.1)
 
 
+def fourier_array(coeffs: dict, size: int) -> np.ndarray:
+    """FFT-order array of length size holding coeffs[k] at index k mod size."""
+    out = np.zeros(size, dtype=complex)
+    for k, c in coeffs.items():
+        out[k] = c
+    return out
+
+
+def as_dict(c: np.ndarray) -> dict:
+    """Offset -> coefficient for -len/2 < k <= len/2, the layout's meaning."""
+    n = len(c)
+    return {(i if i <= n // 2 else i - n): c[i] for i in range(n)}
+
+
+def dict_product(a: dict, b: dict) -> dict:
+    """The former dict double loop: convolution of two offset maps."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] = out.get(ka + kb, 0.0) + ca * cb
+    return out
+
+
 class TestToeplitz:
     def test_entries_from_map(self):
-        phi_hat = {k: 0.0 for k in range(-2, 3)}
-        phi_hat.update({0: 1.0, 1: 2.0, -1: 3.0})
-        mat = hardy.hardy_toeplitz(phi_hat, 2).entries
+        phi_hat = fourier_array({0: 1.0, 1: 2.0, -1: 3.0}, 5)
+        mat = hardy.hardy_toeplitz(phi_hat, 2)
+        assert isinstance(mat, OperatorMatrix)
         expected = np.array([[1, 3, 0], [2, 1, 3], [0, 2, 1]], dtype=complex)
-        np.testing.assert_array_equal(mat, expected)
+        np.testing.assert_array_equal(mat.entries, expected)
 
     def test_missing_offsets(self):
-        with pytest.raises(KeyError):
-            hardy.hardy_toeplitz({0: 1.0}, 2)
+        # cutoff 2 needs offsets -2..2, five entries
+        with pytest.raises(ValueError):
+            hardy.hardy_toeplitz(np.ones(4, dtype=complex), 2)
+        assert hardy.hardy_toeplitz(np.ones(5, dtype=complex), 2).entries.shape == (3, 3)
+
+    def test_even_grid_too_short(self):
+        # an 8-point grid holds offsets -3..4, too few for cutoff 4
+        phi_hat = boundary_fourier(boundary_grid_from(lambda xi: xi, 8))
+        with pytest.raises(ValueError):
+            hardy.hardy_toeplitz(phi_hat, 4)
+
+    def test_closed_form_from_sampled_trig_polynomial(self):
+        # oracle: M[j, k] = phi_hat(j - k) from the coefficients the symbol was built from
+        coeffs = {-3: 0.5j, -1: 2.0, 0: 1.0 - 1j, 2: -0.25, 3: 4.0j}
+        b = boundary_grid_from(lambda xi: sum(c * xi ** k for k, c in coeffs.items()), 16)
+        n = 6
+        mat = hardy.hardy_toeplitz(boundary_fourier(b), n).entries
+        expected = np.array([[coeffs.get(j - k, 0.0) for k in range(n + 1)]
+                             for j in range(n + 1)])
+        np.testing.assert_allclose(mat, expected, atol=1e-14)
 
     def test_adjoint_exact(self):
         rng = np.random.default_rng(13)
-        phi_hat = {k: complex(rng.standard_normal(), rng.standard_normal())
-                   for k in range(-5, 6)}
+        phi_hat = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         a = hardy.hardy_toeplitz(hardy.conjugate_symbol(phi_hat), 5).entries
         b = hardy.hardy_toeplitz(phi_hat, 5).entries.conj().T
         assert np.max(np.abs(a - b)) == 0.0
 
     def test_symbol_product_oracle(self):
         # oracle: polynomial multiplication of the symbol series
-        a = {0: 1.0, 1: 2.0}
-        b = {-1: 3.0, 0: 4.0}
+        a = fourier_array({0: 1.0, 1: 2.0}, 3)
+        b = fourier_array({-1: 3.0, 0: 4.0}, 3)
         prod = hardy.symbol_product(a, b)
-        assert prod == {-1: 3.0, 0: 10.0, 1: 8.0}
+        np.testing.assert_array_equal(prod, fourier_array({-1: 3.0, 0: 10.0, 1: 8.0}, 5))
+
+    @pytest.mark.parametrize("la, lb", [(7, 5), (8, 5), (5, 16)])
+    def test_symbol_product_matches_dict_loop(self, la, lb):
+        rng = np.random.default_rng(la * lb)
+        a = rng.standard_normal(la) + 1j * rng.standard_normal(la)
+        b = rng.standard_normal(lb) + 1j * rng.standard_normal(lb)
+        prod = hardy.symbol_product(a, b)
+        assert len(prod) == la + lb - 1
+        expected = dict_product(as_dict(a), as_dict(b))
+        assert set(as_dict(prod)) == set(expected)
+        for k, c in as_dict(prod).items():
+            assert c == pytest.approx(expected[k], abs=1e-13)
+
+    def test_symbol_product_exact_integers(self):
+        rng = np.random.default_rng(3)
+        a = rng.integers(-9, 10, 9) + 1j * rng.integers(-9, 10, 9)
+        b = rng.integers(-9, 10, 4) + 1j * rng.integers(-9, 10, 4)
+        expected = dict_product(as_dict(a), as_dict(b))
+        assert as_dict(hardy.symbol_product(a, b)) == expected
+
+    def test_symbol_product_rejects_two_even_lengths(self):
+        with pytest.raises(ValueError):
+            hardy.symbol_product(np.ones(4), np.ones(8))
 
     def test_analytic_product_block(self):
         # analytic f of degree 1: T_g T_f = T_{gf} on the leading block
         n = 6
-        f_hat = {k: (1.0 if k == 1 else 0.0) for k in range(-n, n + 1)}
-        g_hat = {k: (2.0 if k == -1 else (1.0 if k == 0 else 0.0))
-                 for k in range(-n, n + 1)}
+        f_hat = fourier_array({1: 1.0}, 2 * n + 1)
+        g_hat = fourier_array({-1: 2.0, 0: 1.0}, 2 * n + 1)
         prod = hardy.symbol_product(g_hat, f_hat)
-        prod = {k: prod.get(k, 0.0) for k in range(-2 * n, 2 * n + 1)}
         tf = hardy.hardy_toeplitz(f_hat, n).entries
         tg = hardy.hardy_toeplitz(g_hat, n).entries
         tgf = hardy.hardy_toeplitz(prod, n).entries
@@ -146,3 +207,9 @@ class TestDiscAlgebra:
         member, _ = hardy.disc_algebra_membership(
             boundary_grid_from(lambda xi: xi + 1e-14 * np.conj(xi), 64))
         assert member
+
+    def test_tie_takes_most_negative_offset(self):
+        member, witness = hardy.disc_algebra_membership(
+            boundary_grid_from(lambda xi: np.conj(xi) + np.conj(xi) ** 3, 64))
+        assert not member and witness == -3
+        assert isinstance(witness, int)

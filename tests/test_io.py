@@ -45,6 +45,11 @@ class TestMatrixCsv:
         mat = np.array([[np.pi, np.e], [1 / 3, 2 / 7]], dtype=complex)
         assert matrix_to_csv(mat) == matrix_to_csv(mat.copy())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            matrix_to_csv(np.array([[1, bad], [0, 1]], dtype=complex))
+
 
 class TestDumpJson:
     def test_sorted_and_stable(self):
@@ -89,6 +94,32 @@ class TestSymbolParser:
         with pytest.raises(ValueError):
             parse_symbol_expression("exp(z)")
 
+    @pytest.mark.parametrize("expr", [
+        "9^9^9^9", "z^(1/2)", "z^65", "2^z", "conj + z", "conj(z, z)", "abs2()",
+        "z % 2", "z // 2", "~z", "True*z", "'z'", "z.real", "[z]", "z < 1", "z(1)", "",
+    ])
+    def test_rejects_outside_grammar(self, expr):
+        with pytest.raises(ValueError):
+            parse_symbol_expression(expr)
+
+    def test_signed_literal_exponents(self):
+        z = np.array([0.5 + 0.5j, -2.0])
+        np.testing.assert_array_equal(parse_symbol_expression("z^-2 + z^+64")(z),
+                                      z ** -2 + z ** 64)
+
+    def test_samples_bit_identical_to_numpy(self):
+        # the benchmark's symbol form evaluates exactly as the same numpy code
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        f = parse_symbol_expression("(0.123-0.456j)*z^2*conj(z)^3 + (1.5+0j)*conj(z)")
+        np.testing.assert_array_equal(
+            f(z), (0.123 - 0.456j) * z ** 2 * np.conj(z) ** 3 + (1.5 + 0j) * np.conj(z))
+
+    def test_integer_constants_read_as_floats(self):
+        # 9^64 stays a float, so nested powers overflow instead of growing
+        with pytest.raises(OverflowError):
+            parse_symbol_expression("((9^64)^64)^64")(np.zeros(1))
+
 
 class TestSmallParsers:
     def test_coeff_list(self):
@@ -96,5 +127,10 @@ class TestSmallParsers:
                                       [1, 2 + 1j, -3])
 
     def test_fourier_map(self):
-        out = parse_fourier_map("0:1, 1:2+1i, -1:3")
-        assert out == {0: 1, 1: 2 + 1j, -1: 3}
+        # FFT order: offsets 0, 1, 2, -2, -1
+        out = parse_fourier_map("0:1, 1:2+1i, -1:3", 2)
+        np.testing.assert_array_equal(out, [1, 2 + 1j, 0, 0, 3])
+
+    def test_fourier_map_drops_offsets_beyond_cutoff(self):
+        out = parse_fourier_map("0:1, 5:2, -3:4", 2)
+        np.testing.assert_array_equal(out, [1, 0, 0, 0, 0])

@@ -8,10 +8,12 @@ from funcalg.numcore import (
     HoloPoly,
     boundary_fourier,
     boundary_grid_from,
+    boundary_points,
     boundary_synthesis,
     build_disc_quadrature,
     inner_product,
     radial_moment,
+    sample,
 )
 
 
@@ -113,6 +115,11 @@ class TestInnerProduct:
         with pytest.raises(GridError):
             inner_product(np.ones(3), np.ones(3), self.q)
 
+    def test_sample_is_tensor_shaped(self):
+        vals = sample(HoloPoly([0, 1]), self.q)
+        assert vals.shape == (self.q.n_rad, self.q.n_ang)
+        np.testing.assert_array_equal(vals.ravel(), self.q.nodes)
+
     def test_quadrature_exactness_mixed_monomials(self):
         # monomials z^j conj(z)^k integrate to delta_jk / (j+1) at alpha = 0
         for j in range(7):
@@ -125,8 +132,9 @@ class TestInnerProduct:
 class TestBoundaryFourier:
     def test_single_mode(self):
         c = boundary_fourier(boundary_grid_from(lambda x: x, 32))
+        assert isinstance(c, np.ndarray) and c.shape == (32,)
         assert c[1] == pytest.approx(1.0, abs=1e-12)
-        assert max(abs(v) for k, v in c.items() if k != 1) < 1e-12
+        assert np.max(np.abs(np.delete(c, 1))) < 1e-12
 
     def test_conjugate_mode(self):
         c = boundary_fourier(boundary_grid_from(np.conj, 32))
@@ -144,6 +152,17 @@ class TestBoundaryFourier:
         assert c[0] == pytest.approx(2.0, abs=1e-12)
         assert c[2] == pytest.approx(3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [8, 32])
+    def test_every_offset_against_riemann_sum(self, m):
+        # oracle: c[k] = mean of f(xi) xi^(-k) for every -m/2 < k <= m/2,
+        # read at the negative index k for k < 0
+        rng = np.random.default_rng(m)
+        samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        pts = boundary_points(m)
+        c = boundary_fourier(BoundaryGrid(samples))
+        for k in range(-m // 2 + 1, m // 2 + 1):
+            assert c[k] == pytest.approx(np.mean(samples * pts ** (-k)), abs=1e-13)
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(GridError):
             BoundaryGrid(np.ones(12))
@@ -152,7 +171,7 @@ class TestBoundaryFourier:
         rng = np.random.default_rng(7)
         samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         b = BoundaryGrid(samples)
-        back = boundary_synthesis(boundary_fourier(b), 64)
+        back = boundary_synthesis(boundary_fourier(b))
         np.testing.assert_allclose(back.samples, samples, atol=1e-12)
 
     def test_parseval(self):
@@ -161,5 +180,5 @@ class TestBoundaryFourier:
         b = BoundaryGrid(samples)
         coeffs = boundary_fourier(b)
         lhs = np.sum(np.abs(samples) ** 2) / 128
-        rhs = sum(abs(v) ** 2 for v in coeffs.values())
+        rhs = np.sum(np.abs(coeffs) ** 2)
         assert lhs == pytest.approx(rhs, abs=1e-10)
