@@ -31,6 +31,17 @@ class UsageError(Exception):
     pass
 
 
+def _cutoff(text: str) -> int:
+    """argparse type of --cutoff: the highest degree kept, an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"cutoff must be an integer >= 0, got {text!r}")
+    return value
+
+
 class NonFiniteError(Exception):
     """A result holds NaN or infinity: the computation diverged (exit 1)."""
 
@@ -198,18 +209,17 @@ def cmd_gelfand(args) -> int:
 def _load_fields(path) -> list[liefields.PolyVectorField]:
     with open(path) as fh:
         data = json.load(fh)
-    d = int(data["dim"])
-    fields = []
-    for comps in data["fields"]:
-        maps = []
-        for comp in comps:
-            maps.append({tuple(int(t) for t in key.split(",")): val
-                         for key, val in comp.items()})
-        try:
-            fields.append(liefields.from_coeff_map(maps, d))
-        except liefields.FieldError as exc:     # a malformed file, not a divergence
-            raise UsageError(f"bad field file: {exc}") from None
-    return fields
+    try:
+        d = int(data["dim"])
+        return [liefields.from_coeff_map(
+                    [{tuple(int(t) for t in key.split(",")): val for key, val in comp.items()}
+                     for comp in comps], d)
+                for comps in data["fields"]]
+    except (TypeError, AttributeError):
+        raise UsageError('bad field file: expected {"dim": d, "fields": '
+                         '[[{"i,j": coefficient, ...}, ...], ...]}') from None
+    except liefields.FieldError as exc:     # a malformed file, not a divergence
+        raise UsageError(f"bad field file: {exc}") from None
 
 
 def cmd_lie(args) -> int:
@@ -225,10 +235,7 @@ def cmd_lie(args) -> int:
     if args.lie_op == "jacobi":
         if len(fields) < 3:
             raise UsageError("jacobi needs three fields")
-        x, y, z = fields[:3]
-        total = (liefields.lie_bracket(x, liefields.lie_bracket(y, z))
-                 + liefields.lie_bracket(y, liefields.lie_bracket(z, x))
-                 + liefields.lie_bracket(z, liefields.lie_bracket(x, y)))
+        total = liefields.jacobi_sum(*fields[:3])
         holds = total.is_zero()
         _emit_record(args, {"operation": "jacobi", "holds": holds,
                             "residual": [liefields.format_polynomial(c)
@@ -260,7 +267,9 @@ def cmd_colombeau(args) -> int:
     else:
         net = colombeau.seminorm_net(f, m, alpha=args.alpha)
     rep = colombeau.estimate_order(net)
-    lines = [f"# slope: {rep.slope:.17g}", "epsilon,value"]
+    slope = (f"{rep.slope:.17g}" if np.isfinite(rep.slope)
+             else "none (every value below the noise floor)")
+    lines = [f"# slope: {slope}", "epsilon,value"]
     lines += [f"{e:.17g},{v:.17g}" for e, v in zip(net.epsilons, net.values)]
     _write(args.out, _csv_header(args) + "\n".join(lines) + "\n")
     return 0
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toeplitz", help="Bergman-Toeplitz matrix of a symbol")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--cutoff", type=_cutoff, default=8)
     add_grid(p)
     p.add_argument("--out")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="Bergman projection of a symbol")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--cutoff", type=_cutoff, default=8)
     add_grid(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bergman_project)
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z")
     p.add_argument("--xi")
     p.add_argument("--coeffs", help="Fourier map k:value,k:value")
-    p.add_argument("--cutoff", type=int, default=8)
+    p.add_argument("--cutoff", type=_cutoff, default=8)
     p.add_argument("--symbol")
     p.add_argument("--m", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-10)

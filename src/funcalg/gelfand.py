@@ -60,6 +60,8 @@ class FiniteGroup:
 def subgroup(group: FiniteGroup, members) -> np.ndarray:
     """Validated subgroup: sorted member indices, closed under mul and inv."""
     members = np.unique(np.asarray(members, dtype=int))
+    if members.size and (members[0] < 0 or members[-1] >= group.order):
+        raise GroupError(f"subgroup indices must lie in 0..{group.order - 1}")
     mset = set(members.tolist())
     if group.id not in mset:
         raise GroupError("subgroup must contain the identity")
@@ -98,7 +100,7 @@ def _perm_compose(a, b):
 
 def symmetric(n: int) -> FiniteGroup:
     elems = sorted(itertools.permutations(range(n)))
-    return FiniteGroup(_table_from_elements(elems, _perm_compose).mul)
+    return _table_from_elements(elems, _perm_compose)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -112,7 +114,7 @@ def dihedral(n: int) -> FiniteGroup:
         r = _perm_compose(rot, r)
     for base in list(elems):
         elems.append(_perm_compose(ref, base))
-    return FiniteGroup(_table_from_elements(elems, _perm_compose).mul)
+    return _table_from_elements(elems, _perm_compose)
 
 
 def quaternion() -> FiniteGroup:
@@ -130,7 +132,7 @@ def quaternion() -> FiniteGroup:
         s, u = prod[(a[1], b[1])]
         return (a[0] * b[0] * s, u)
 
-    return FiniteGroup(_table_from_elements(elems, compose).mul)
+    return _table_from_elements(elems, compose)
 
 
 GROUP_LIBRARY = {
@@ -146,6 +148,8 @@ def load_group_table(path) -> FiniteGroup:
     """Read a group from text: first line n, then n rows of n indices."""
     with open(path) as fh:
         tokens = fh.read().split()
+    if not tokens:
+        raise GroupError(f"{path}: empty group table")
     n = int(tokens[0])
     vals = list(map(int, tokens[1:]))
     if len(vals) != n * n:

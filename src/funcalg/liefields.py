@@ -253,6 +253,12 @@ def lie_bracket(x_field: PolyVectorField, y_field: PolyVectorField) -> PolyVecto
     return PolyVectorField(_bracket(x_field.components, y_field.components), dim=x_field.dim)
 
 
+def jacobi_sum(x: PolyVectorField, y: PolyVectorField, z: PolyVectorField) -> PolyVectorField:
+    """[X, [Y, Z]] + [Y, [Z, X]] + [Z, [X, Y]], exact; zero by the Jacobi identity."""
+    return (lie_bracket(x, lie_bracket(y, z)) + lie_bracket(y, lie_bracket(z, x))
+            + lie_bracket(z, lie_bracket(x, y)))
+
+
 def fields_equal(a: PolyVectorField, b: PolyVectorField) -> bool:
     """Exact coefficientwise equality."""
     return a.dim == b.dim and a.components == b.components

@@ -243,6 +243,15 @@ class TestColombeau:
     def test_unknown_function_exit_2(self):
         assert run(["colombeau", "rate", "--f", "nope"]) == 2
 
+    def test_slope_below_noise_floor_is_not_inf(self, tmp_path):
+        # every derivative of a constant regularizes to zero
+        out = tmp_path / "rate.csv"
+        assert run(["colombeau", "rate", "--f", "const", "--q", "2", "--alpha", "1",
+                    "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "inf" not in text
+        assert text.split("\n")[1] == "# slope: none (every value below the noise floor)"
+
 
 class TestSuite:
     def test_single_suite(self, capsys, tmp_path):
@@ -326,6 +335,39 @@ class TestBadInput:
         # 9.0^64 overflows on the next power: a divergence, not a traceback
         assert run(["bergman-norm", "--symbol", "((9^64)^64)^64"]) == 1
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["toeplitz", "--symbol", "z", "--cutoff", "-1"],
+        ["project", "--symbol", "z", "--cutoff", "-3"],
+        ["hardy", "toeplitz", "--coeffs", "0:1", "--cutoff", "-1"],
+    ], ids=["toeplitz", "project", "hardy-toeplitz"])
+    def test_negative_cutoff_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "--cutoff" in err and "cutoff must be an integer >= 0" in err
+
+    @pytest.mark.parametrize("subgroup", ["0,99", "0,-1"])
+    def test_subgroup_index_out_of_range_exit_2(self, subgroup, capsys):
+        assert run(["gelfand", "check", "--group", "s3", "--subgroup", subgroup]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "0..5" in err
+
+    def test_empty_group_table_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert run(["gelfand", "check", "--group", str(path), "--subgroup", "0"]) == 2
+        assert "empty group table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 2, "fields": 3},
+        {"dim": 2, "fields": [[1, 2], [3, 4]]},
+        [1, 2],
+    ], ids=["fields-not-a-list", "components-not-objects", "top-level-array"])
+    def test_malformed_field_file_exit_2(self, data, tmp_path, capsys):
+        path = write_fields(tmp_path, data)
+        assert run(["lie", "bracket", "--fields", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "bad field file" in err
 
     def test_tower_of_powers_exits_2_quickly(self):
         proc = subprocess.run([sys.executable, "-m", "funcalg.cli", "bergman-norm",

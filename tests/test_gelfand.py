@@ -67,6 +67,70 @@ class TestFiniteGroup:
         loaded = gelfand.load_group_table(path)
         assert np.array_equal(loaded.mul, z3.mul)
 
+    @pytest.mark.parametrize("members", [[0, 99], [0, -1], [0, 6]])
+    def test_subgroup_rejects_out_of_range_indices(self, s3, members):
+        # numpy would wrap -1 to element 5 and fail on 99 with an IndexError
+        with pytest.raises(gelfand.GroupError, match="0..5"):
+            gelfand.subgroup(s3, members)
+
+    def test_load_group_table_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("  \n")
+        with pytest.raises(gelfand.GroupError, match="empty"):
+            gelfand.load_group_table(path)
+
+
+def _table(elems, compose):
+    index = {e: i for i, e in enumerate(elems)}
+    return np.array([[index[compose(a, b)] for b in elems] for a in elems])
+
+
+def _perm_product(a, b):
+    return tuple(np.asarray(a)[list(b)])
+
+
+def _hamilton(a, b):
+    """Product of unit quaternions given as 4-tuples (1, i, j, k)."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3, a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+class TestGroupLibrary:
+    """Library tables against tables built here from the element lists."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_symmetric_table(self, n):
+        elems = sorted(itertools.permutations(range(n)))
+        assert np.array_equal(gelfand.symmetric(n).mul, _table(elems, _perm_product))
+
+    def test_dihedral_table(self):
+        n = 4
+        rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+        reflection = tuple((-i) % n for i in range(n))
+        elems = rotations + [_perm_product(reflection, r) for r in rotations]
+        assert np.array_equal(gelfand.dihedral(n).mul, _table(elems, _perm_product))
+
+    def test_quaternion_table(self):
+        units = np.eye(4, dtype=int)
+        elems = [tuple(int(v) for v in s * u) for u in units for s in (1, -1)]
+        assert np.array_equal(gelfand.quaternion().mul, _table(elems, _hamilton))
+
+    @pytest.mark.parametrize("build", [lambda: gelfand.symmetric(4),
+                                       lambda: gelfand.dihedral(5), gelfand.quaternion])
+    def test_validated_once(self, build, monkeypatch):
+        calls = []
+        init = gelfand.FiniteGroup.__init__
+
+        def counting_init(self, mul):
+            calls.append(1)
+            init(self, mul)
+
+        monkeypatch.setattr(gelfand.FiniteGroup, "__init__", counting_init)
+        build()
+        assert len(calls) == 1
+
 
 class TestConvolution:
     def test_unit(self, s3):

@@ -15,6 +15,7 @@ from funcalg.liefields import (
     flow,
     format_polynomial,
     from_coeff_map,
+    jacobi_sum,
     lie_bracket,
     parse_polynomial,
     prolong1,
@@ -86,6 +87,26 @@ class TestLieBracket:
                  + lie_bracket(y, lie_bracket(z, x))
                  + lie_bracket(z, lie_bracket(x, y)))
         assert total.is_zero()
+
+    def test_jacobi_sum_is_the_three_term_sum(self):
+        x, y, z = field("x1*x2", "x2"), field("x1", "x1**2"), field("x2", "1")
+        written_out = (lie_bracket(x, lie_bracket(y, z))
+                       + lie_bracket(y, lie_bracket(z, x))
+                       + lie_bracket(z, lie_bracket(x, y)))
+        assert fields_equal(jacobi_sum(x, y, z), written_out)
+        # the terms do not vanish one by one
+        assert not lie_bracket(x, lie_bracket(y, z)).is_zero()
+
+    def test_jacobi_sum_vanishes_on_random_integer_fields(self):
+        rng = np.random.default_rng(3)
+
+        def rand_field():
+            return from_coeff_map([{tuple(int(e) for e in rng.integers(0, 3, 2)):
+                                    int(rng.integers(-3, 4)) for _ in range(3)}
+                                   for _ in range(2)], 2)
+
+        for _ in range(20):
+            assert jacobi_sum(rand_field(), rand_field(), rand_field()).is_zero()
 
     def test_dimension_mismatch(self):
         with pytest.raises(FieldError):

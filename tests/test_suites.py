@@ -1,0 +1,125 @@
+"""The suite record helpers can fail, and a fault in a module turns its record false."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from funcalg import colombeau, gelfand, hardy, suites
+
+
+def by_name(records):
+    return {r["name"]: r for r in records}
+
+
+class TestMaxError:
+    def test_passes_below_tolerance(self):
+        rec = suites._max_error("p", [1e-12, 3e-11], 1e-10)
+        assert rec == {"name": "p", "passed": True,
+                       "detail": {"max_error": 3e-11, "tolerance": 1e-10}}
+
+    def test_fails_above_tolerance(self):
+        rec = suites._max_error("p", [1e-12, 2e-10, 0.0], 1e-10)
+        assert rec["passed"] is False
+        assert rec["detail"]["max_error"] == 2e-10
+
+    def test_fails_at_tolerance(self):
+        assert suites._max_error("p", [1e-10], 1e-10)["passed"] is False
+
+    def test_empty_errors_read_zero(self):
+        rec = suites._max_error("p", iter([]), 1e-10)
+        assert rec["passed"] is True and rec["detail"]["max_error"] == 0.0
+
+
+class TestSweep:
+    def test_passes_when_every_pair_holds(self):
+        rec = suites._sweep("s", [(1.0, 2.0), (3.0, 3.0)], 1e-9)
+        assert rec == {"name": "s", "passed": True,
+                       "detail": {"worst_gap": 0.0, "tolerance": 1e-9}}
+
+    def test_fails_when_one_pair_breaks(self):
+        rec = suites._sweep("s", [(1.0, 2.0), (3.5, 3.0), (0.0, 1.0)], 1e-9)
+        assert rec["passed"] is False
+        assert rec["detail"]["worst_gap"] == 0.5
+
+    def test_boundary(self):
+        # lhs == rhs + slack holds; anything above it does not
+        assert suites._sweep("s", [(2.0, 1.0)], 1.0)["passed"] is True
+        assert suites._sweep("s", [(2.0 + 2 ** -40, 1.0)], 1.0)["passed"] is False
+
+    def test_consumes_every_pair(self):
+        # a failing first pair must not stop a generator that draws the rest
+        drawn = []
+
+        def pairs():
+            for lhs in (5.0, 0.0, 0.0):
+                drawn.append(lhs)
+                yield lhs, 1.0
+
+        assert suites._sweep("s", pairs(), 1e-9)["passed"] is False
+        assert drawn == [5.0, 0.0, 0.0]
+
+
+class TestSlope:
+    @staticmethod
+    def power_net(order):
+        eps = colombeau.default_ladder()
+        return colombeau.EpsilonNet(epsilons=eps, values=eps ** order,
+                                    meta={"K": (-1.0, 1.0), "alpha": 0})
+
+    def test_passes_at_expected_slope(self):
+        rec = suites._slope("r", self.power_net(3), 3)
+        assert rec["passed"] is True
+        assert rec["detail"]["slope"] == pytest.approx(3.0, abs=1e-9)
+        assert rec["detail"]["expected"] == 3
+        assert rec["detail"]["tolerance"] == 0.2
+
+    @pytest.mark.parametrize("expected", [2.7, 3.3, -3])
+    def test_fails_away_from_expected(self, expected):
+        assert suites._slope("r", self.power_net(3), expected)["passed"] is False
+
+
+class TestFaultsShow:
+    def test_perturbed_conjugate_symbol_fails_hardy_adjoint(self, monkeypatch):
+        conjugate = hardy.conjugate_symbol
+        monkeypatch.setattr(hardy, "conjugate_symbol", lambda c: conjugate(c) * (1 + 1e-15))
+        records = by_name(suites.hardy_suite(seed=0))
+        assert records["Hardy-Toeplitz adjoint"]["passed"] is False
+        assert records["Hardy-Toeplitz adjoint"]["detail"]["max_error"] > 0.0
+        assert all(r["passed"] for name, r in records.items()
+                   if name != "Hardy-Toeplitz adjoint")
+
+    def test_inflated_seminorm_fails_gelfand_sweep(self, monkeypatch):
+        seminorm = gelfand.phi_seminorm
+        monkeypatch.setattr(gelfand, "phi_seminorm", lambda f, phi, g: 0.5 * seminorm(f, phi, g))
+        records = by_name(suites.gelfand_suite(seed=0))
+        rec = records["weighted seminorm submultiplicativity"]
+        assert rec["passed"] is False and rec["detail"]["worst_gap"] > 0.0
+
+    def test_shifted_estimate_fails_every_rate(self, monkeypatch):
+        estimate = colombeau.estimate_order
+
+        def shifted(net, **kwargs):
+            rep = estimate(net, **kwargs)
+            return type(rep)(slope=rep.slope + 0.5, kind=rep.kind, order=rep.order)
+
+        monkeypatch.setattr(colombeau, "estimate_order", shifted)
+        failed = {r["name"] for r in suites.colombeau_suite(seed=0) if not r["passed"]}
+        rates = {f"smooth regularization defect rate q={q}" for q in (0, 2, 4)}
+        rates |= {"modulus-of-continuity defect rate for |t|",
+                  "Heaviside derivative seminorm slope -1"}
+        assert rates <= failed
+
+
+def test_suites_take_only_a_seed():
+    for suite in suites.SUITES.values():
+        assert list(inspect.signature(suite).parameters) == ["seed"]
+
+
+def test_all_prefixes_each_suite_in_table_order(monkeypatch):
+    monkeypatch.setattr(suites, "SUITES", {
+        "a": lambda seed: [suites._rec("x", True)],
+        "b": lambda seed: [suites._rec("y", False, seed=seed)]})
+    assert suites.run_suite("all", seed=4) == [
+        {"name": "a: x", "passed": True, "detail": {}},
+        {"name": "b: y", "passed": False, "detail": {"seed": 4}}]
