@@ -3,7 +3,9 @@ invariant gradient, little-Bloch membership and pointwise multipliers.
 
 Suprema over the open disc are approximated on a radial-angular grid whose
 resolution is doubled until the value changes by less than a refinement
-tolerance; the report records the grid point attaining the maximum.
+tolerance, then polished by a shrinking 5x5 polar stencil: centred on the
+best point, it moves to the stencil's best point and halves both steps until
+they reach 1e-14.  The report records the point attaining the maximum.
 """
 
 from __future__ import annotations
@@ -25,15 +27,21 @@ class BlochReport:
     argmax_z: complex
 
 
+def _best_on(f_prime: HoloPoly, alpha: float, r: np.ndarray, theta: np.ndarray):
+    """Largest (1-|z|^2)^alpha |f'(z)| over z = r e^(i theta) on the polar
+    product of r and theta: the value, its point, and its r and theta."""
+    z = r[:, None] * np.exp(1j * theta)[None, :]
+    vals = (1.0 - np.abs(z) ** 2) ** alpha * np.abs(f_prime(z))
+    i, j = np.unravel_index(np.argmax(vals), vals.shape)
+    return float(vals[i, j]), complex(z[i, j]), r[i], theta[j]
+
+
 def _sup_on_grid(f_prime: HoloPoly, alpha: float, n_rad: int, n_ang: int):
     # closed radial grid [0, 1) biased toward the boundary is unnecessary for
     # polynomials: (1-r^2)^alpha kills the boundary, so uniform radii suffice
     r = np.linspace(0.0, 1.0, n_rad, endpoint=False)
     theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    z = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = (1.0 - np.abs(z) ** 2) ** alpha * np.abs(f_prime(z))
-    idx = np.unravel_index(np.argmax(vals), vals.shape)
-    return float(vals[idx]), complex(z[idx])
+    return _best_on(f_prime, alpha, r, theta)
 
 
 def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
@@ -44,30 +52,26 @@ def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
     if n_rad < 2 or n_ang < 4:
         raise ValueError("grid too small")
     fp = f.derivative()
-    best, argmax = _sup_on_grid(fp, alpha, n_rad, n_ang)
+    best, argmax, r0, t0 = _sup_on_grid(fp, alpha, n_rad, n_ang)
     for _ in range(max_refine):
         n_rad *= 2
         n_ang *= 2
-        new, argmax = _sup_on_grid(fp, alpha, n_rad, n_ang)
+        new, argmax, r0, t0 = _sup_on_grid(fp, alpha, n_rad, n_ang)
         converged = abs(new - best) < refine_tol
         best = new
         if converged:
             break
 
-    # local polish: the grid certifies the basin, Nelder-Mead pins the value
-    from scipy.optimize import minimize     # imported here: only this polish needs it
-
-    def neg(x):
-        r = min(max(x[0], 0.0), 1.0 - 1e-12)
-        z = r * np.exp(1j * x[1])
-        return -((1.0 - r ** 2) ** alpha * abs(fp(z)))
-
-    res = minimize(neg, [abs(argmax), np.angle(argmax)], method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-12})
-    if -res.fun > best:
-        best = float(-res.fun)
-        r = min(max(res.x[0], 0.0), 1.0 - 1e-12)
-        argmax = complex(r * np.exp(1j * res.x[1]))
+    # local polish: a 5x5 polar stencil around the best point, both steps
+    # halved each round until they reach rounding level
+    offsets = np.arange(-2, 3)
+    dr, dt = 1.0 / n_rad, 2.0 * np.pi / n_ang
+    while dr > 1e-14 or dt > 1e-14:
+        value, z, r0, t0 = _best_on(fp, alpha, np.clip(r0 + dr * offsets, 0.0, 1.0 - 1e-12),
+                                    t0 + dt * offsets)
+        if value > best:
+            best, argmax = value, z
+        dr, dt = dr / 2.0, dt / 2.0
     f0 = abs(f(0.0))
     return BlochReport(alpha=float(alpha), seminorm=best, norm=f0 + best,
                        argmax_z=argmax)

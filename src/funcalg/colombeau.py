@@ -10,6 +10,7 @@ log-log slope of the ladder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +22,10 @@ from numpy.polynomial import Chebyshev, Polynomial
 # mollifier
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 200-point Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(200)
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -87,8 +91,9 @@ def build_mollifier(q: int, grid_points: int = 4001) -> Mollifier:
     if q < 0 or q % 2 != 0:
         raise ValueError(f"q must be an even nonnegative integer, got {q}")
     n = q // 2 + 1
+    nodes, weights = _gauss_legendre()
     base_even_moments = np.array([
-        float(np.sum(_GL_WEIGHTS * _GL_NODES ** (2 * m) * _bump(_GL_NODES)))
+        float(np.sum(weights * nodes ** (2 * m) * _bump(nodes)))
         for m in range(2 * n)
     ])
     system = np.array([[base_even_moments[a + j] for j in range(n)] for a in range(n)])
@@ -105,7 +110,8 @@ def build_mollifier(q: int, grid_points: int = 4001) -> Mollifier:
 
 def mollifier_moment(m: Mollifier, a: int) -> float:
     """Quadrature moment integral of t^a against the mollifier."""
-    return float(np.sum(_GL_WEIGHTS * _GL_NODES ** a * m(_GL_NODES)))
+    nodes, weights = _gauss_legendre()
+    return float(np.sum(weights * nodes ** a * m(nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +123,9 @@ def regularize(f, m: Mollifier, eps: float, k_grid) -> np.ndarray:
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     k_grid = np.asarray(k_grid, dtype=float)
-    phi_vals = m(_GL_NODES) * _GL_WEIGHTS
-    pts = k_grid[:, None] + eps * _GL_NODES[None, :]
+    nodes, weights = _gauss_legendre()
+    phi_vals = m(nodes) * weights
+    pts = k_grid[:, None] + eps * nodes[None, :]
     return np.asarray(f(pts), dtype=float) @ phi_vals
 
 
@@ -136,9 +143,10 @@ def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np
     if order == 0:
         return regularize(f, m, eps, k_grid)
     t = np.asarray(k_grid, dtype=float)[:, None]
-    pos = _GL_NODES > 0
-    y = _GL_NODES[pos]
-    w = m.derivative_fn(order)(y) * _GL_WEIGHTS[pos]
+    nodes, weights = _gauss_legendre()
+    pos = nodes > 0
+    y = nodes[pos]
+    w = m.derivative_fn(order)(y) * weights[pos]
     sign = (-1.0) ** order
     vals = (np.asarray(f(t + eps * y), dtype=float)
             + sign * np.asarray(f(t - eps * y), dtype=float))

@@ -8,7 +8,6 @@ with the discrete Fourier analysis in :mod:`funcalg.numcore`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .numcore import (
     BoundaryGrid,
@@ -102,7 +101,8 @@ def hardy_toeplitz(phi_hat: np.ndarray, n: int) -> OperatorMatrix:
     if len(phi_hat) < 2 * n + 1:
         raise ValueError(f"cutoff {n} needs Fourier coefficients for offsets "
                          f"-{n}..{n}, got an array of length {len(phi_hat)}")
-    return OperatorMatrix(toeplitz(phi_hat[: n + 1], phi_hat[-np.arange(n + 1)]))
+    k = np.arange(n + 1)
+    return OperatorMatrix(phi_hat[np.subtract.outer(k, k)])
 
 
 def conjugate_symbol(phi_hat: np.ndarray) -> np.ndarray:

@@ -11,10 +11,11 @@ integrands).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, roots_jacobi
 
 
 class GridError(ValueError):
@@ -103,7 +104,30 @@ def radial_moment(alpha: float, k: int) -> float:
 
     Equals k! * Gamma(alpha+2) / Gamma(k+alpha+2); reduces to 1/(k+1) at alpha=0.
     """
-    return float(np.exp(gammaln(k + 1) + gammaln(alpha + 2) - gammaln(k + alpha + 2)))
+    return math.exp(math.lgamma(k + 1) + math.lgamma(alpha + 2) - math.lgamma(k + alpha + 2))
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1-x)^alpha on [-1, 1], by Golub-Welsch.
+
+    The nodes are the eigenvalues of the symmetric Jacobi matrix of the
+    (alpha, 0) three-term recurrence; each weight is mu_0 v_0^2, with v_0 the
+    first component of the unit eigenvector and mu_0 = 2^(alpha+1)/(alpha+1)
+    the total mass.  Cached per (n, alpha); the arrays are read-only.
+    """
+    k = np.arange(1, n, dtype=float)
+    two_k = 2.0 * k + alpha
+    diag = np.empty(n)
+    diag[0] = -alpha / (alpha + 2.0)          # the k >= 1 formula is 0/0 here at alpha = 0
+    diag[1:] = -alpha ** 2 / (two_k * (two_k + 2.0))
+    off = np.sqrt(4.0 * k ** 2 * (k + alpha) ** 2
+                  / (two_k ** 2 * (two_k + 1.0) * (two_k - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 ** (alpha + 1.0) / (alpha + 1.0) * vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadrature:
@@ -115,7 +139,7 @@ def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadratur
 
     # dA_alpha = (alpha+1)(1-s)^alpha ds dtheta/(2 pi); s = (x+1)/2 carries the
     # Jacobi weight (1-x)^alpha dx on [-1, 1] to 2^(alpha+1) (1-s)^alpha ds
-    x, w = roots_jacobi(n_rad, alpha, 0.0)
+    x, w = gauss_jacobi(n_rad, alpha)
     r = np.sqrt(0.5 * (x + 1.0))
     radial_weights = weight_normalizer(alpha) * w / 2.0 ** (alpha + 1.0)
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang

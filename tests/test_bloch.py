@@ -44,6 +44,46 @@ class TestSeminorm:
             bloch.bloch_seminorm(HoloPoly([0, 1]), 0.0)
 
 
+def _random_cases(count=20):
+    rng = np.random.default_rng(20)
+    for _ in range(count):
+        deg = int(rng.integers(1, 9))
+        coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        yield HoloPoly(coeffs), float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+
+
+class TestStencilPolish:
+    """The polish ends at a local maximum that Nelder-Mead cannot improve."""
+
+    @staticmethod
+    def g(f_prime, alpha, z):
+        """(1 - |z|^2)^alpha |f'(z)|, with numpy's array arithmetic."""
+        z = np.array([z])
+        return float(((1.0 - np.abs(z) ** 2) ** alpha * np.abs(f_prime(z)))[0])
+
+    def test_nelder_mead_cannot_improve(self):
+        from scipy.optimize import minimize
+
+        for f, alpha in _random_cases():
+            rep = bloch.bloch_seminorm(f, alpha)
+            fp = f.derivative()
+
+            def neg(x):
+                r = min(max(x[0], 0.0), 1.0 - 1e-12)
+                return -self.g(fp, alpha, r * np.exp(1j * x[1]))
+
+            z = rep.argmax_z
+            res = minimize(neg, [abs(z), np.angle(z)], method="Nelder-Mead",
+                           options={"xatol": 1e-12, "fatol": 1e-15})
+            assert -res.fun <= rep.seminorm * (1.0 + 1e-13)
+
+    def test_value_is_attained_at_argmax(self):
+        for f, alpha in _random_cases():
+            rep = bloch.bloch_seminorm(f, alpha)
+            value = self.g(f.derivative(), alpha, rep.argmax_z)
+            assert rep.seminorm == pytest.approx(value, rel=1e-15, abs=0.0)
+
+
 class TestMobius:
     def test_swaps_zero_and_a(self):
         a = 0.4 - 0.3j

@@ -386,8 +386,25 @@ def _checkout_env() -> dict:
 
 def test_cli_import_loads_neither_sympy_nor_scipy_optimize():
     code = ("import sys, funcalg.cli; "
-            "print([m for m in ('sympy', 'scipy.optimize') if m in sys.modules])")
+            "print([m for m in sys.modules if m == 'sympy' or m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["toeplitz", "--symbol", "z*conj(z)", "--cutoff", "3"],
+    ["hardy", "kernel", "--z", "0.3+0.2j", "--xi", "1j"],
+    ["bloch", "--poly", "0,0,1", "--alpha", "1.5"],
+    ["colombeau", "rate", "--f", "abs", "--q", "2", "--alpha", "1"],
+    ["suite", "hardy"],
+])
+def test_cli_runs_with_scipy_blocked(argv):
+    code = ("import runpy, sys; sys.modules['scipy'] = None; "
+            f"sys.argv = ['funcalg'] + {argv!r}; "
+            "runpy.run_module('funcalg.cli', run_name='__main__')")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

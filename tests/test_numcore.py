@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from funcalg.numcore import (
     BoundaryGrid,
@@ -11,6 +12,7 @@ from funcalg.numcore import (
     boundary_points,
     boundary_synthesis,
     build_disc_quadrature,
+    gauss_jacobi,
     inner_product,
     radial_moment,
     sample,
@@ -85,6 +87,32 @@ class TestDiscQuadrature:
     def test_rejects_tiny_grids(self):
         with pytest.raises(GridError):
             build_disc_quadrature(0.0, 2, 32)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", [4, 16, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5, 3.5])
+    def test_matches_scipy_oracle(self, n, alpha):
+        x, w = gauss_jacobi(n, alpha)
+        x_ref, w_ref = roots_jacobi(n, alpha, 0.0)
+        assert np.max(np.abs(x - x_ref)) <= 1e-14
+        assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.sum(w_ref)
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = gauss_jacobi(16, 1.5)
+        assert gauss_jacobi(16, 1.5)[0] is x
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_mutating_a_build_leaves_the_next_unchanged(self):
+        q = build_disc_quadrature(1.5, 16, 32)
+        expected = q.radial_weights.copy()
+        q.radial_weights[:] = 0.0
+        q.radii[:] = 0.0
+        fresh = build_disc_quadrature(1.5, 16, 32)
+        np.testing.assert_array_equal(fresh.radial_weights, expected)
+        assert np.all(fresh.radii > 0.0)
 
 
 class TestInnerProduct:

@@ -89,6 +89,13 @@ class TestFaultsShow:
         assert all(r["passed"] for name, r in records.items()
                    if name != "Hardy-Toeplitz adjoint")
 
+    def test_transposed_toeplitz_fails_hardy_linearity(self, monkeypatch):
+        toeplitz = hardy.hardy_toeplitz
+        monkeypatch.setattr(hardy, "hardy_toeplitz",
+                            lambda c, n: type(toeplitz(c, n))(toeplitz(c, n).entries.T))
+        rec = by_name(suites.hardy_suite(seed=0))["Hardy-Toeplitz linearity"]
+        assert rec["passed"] is False and rec["detail"]["max_error"] > 1.0
+
     def test_inflated_seminorm_fails_gelfand_sweep(self, monkeypatch):
         seminorm = gelfand.phi_seminorm
         monkeypatch.setattr(gelfand, "phi_seminorm", lambda f, phi, g: 0.5 * seminorm(f, phi, g))
