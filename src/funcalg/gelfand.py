@@ -7,6 +7,7 @@ convolution unit is |G| times the delta at the identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -19,42 +20,70 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Multiplication-table group; element i * element j = mul[i, j]."""
+    """Multiplication-table group; element i * element j = mul[i, j].
+
+    mul and inv are read-only; the constructor copies the table it is given.
+    """
 
     mul: np.ndarray
     inv: np.ndarray = field(repr=False)
     id: int = 0
 
     def __init__(self, mul):
-        mul = np.asarray(mul, dtype=int)
+        mul = np.array(mul, dtype=int)                       # private copy, frozen below
         n = mul.shape[0]
         if mul.shape != (n, n) or np.any(mul < 0) or np.any(mul >= n):
             raise GroupError("mul must be an n x n table of element indices")
-        # identity
-        ident = None
-        for e in range(n):
-            if np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n)):
-                ident = e
-                break
-        if ident is None:
+        elements = np.arange(n)
+        # e is a two-sided identity when row e and column e both read 0..n-1
+        ident = np.flatnonzero((mul == elements).all(axis=1)
+                               & (mul == elements[:, None]).all(axis=0))
+        if ident.size == 0:
             raise GroupError("table has no two-sided identity")
-        # associativity, vectorized over all triples
-        if not np.array_equal(mul[mul, :], mul[:, mul]):
+        ident = int(ident[0])
+        if not _is_associative(mul, ident):
             raise GroupError("table is not associative")
-        # inverses
-        inv = np.full(n, -1, dtype=int)
-        for g in range(n):
-            hits = np.where(mul[g] == ident)[0]
-            if len(hits) != 1 or mul[hits[0], g] != ident:
-                raise GroupError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
+        # g needs exactly one h with g h = e, and then h g = e as well
+        hits = mul == ident
+        inv = hits.argmax(axis=1)
+        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, elements] != ident))
+        if bad.size:
+            raise GroupError(f"element {bad[0]} has no two-sided inverse")
+        mul.setflags(write=False)
+        inv.setflags(write=False)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", inv)
-        object.__setattr__(self, "id", int(ident))
+        object.__setattr__(self, "id", ident)
 
     @property
     def order(self) -> int:
         return self.mul.shape[0]
+
+
+def _is_associative(mul: np.ndarray, ident: int) -> bool:
+    """Light's associativity test on a generating set.
+
+    Call a middle-associative if (x a) y = x (a y) for all x, y.  A product of
+    two middle-associative elements is again middle-associative, so the table
+    is associative as soon as its middle-associative elements generate it
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, 1.2).
+    Generators are chosen greedily, each the first element not yet generated,
+    so the check costs O(|gens| n^2) instead of O(n^3), and it is complete for
+    any table.
+    """
+    reached = np.zeros(len(mul), dtype=bool)
+    reached[ident] = True                   # e is middle-associative and e e = e
+    while not reached.all():
+        a = int(np.argmin(reached))
+        if not np.array_equal(mul[mul[:, a]], mul[:, mul[a]]):
+            return False
+        reached[a] = True
+        while True:                         # close the reached set under products
+            closed = np.flatnonzero(reached)
+            reached[mul[np.ix_(closed, closed)]] = True
+            if reached.sum() == closed.size:
+                break
+    return True
 
 
 def subgroup(group: FiniteGroup, members) -> np.ndarray:
@@ -62,15 +91,19 @@ def subgroup(group: FiniteGroup, members) -> np.ndarray:
     members = np.unique(np.asarray(members, dtype=int))
     if members.size and (members[0] < 0 or members[-1] >= group.order):
         raise GroupError(f"subgroup indices must lie in 0..{group.order - 1}")
-    mset = set(members.tolist())
-    if group.id not in mset:
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    if not inside[group.id]:
         raise GroupError("subgroup must contain the identity")
-    for a in members:
-        if int(group.inv[a]) not in mset:
+    # row a: first a's inverse, then a * b for each member b, the order in which
+    # a row-by-row scan meets them, so argmax finds the first failure
+    bad = ~inside[np.hstack([group.inv[members, None], group.mul[members[:, None], members]])]
+    if bad.any():
+        row, col = np.unravel_index(np.argmax(bad), bad.shape)
+        a = members[row]
+        if col == 0:
             raise GroupError(f"subgroup not closed under inverse at element {a}")
-        for b in members:
-            if int(group.mul[a, b]) not in mset:
-                raise GroupError(f"subgroup not closed under product {a} * {b}")
+        raise GroupError(f"subgroup not closed under product {a} * {members[col - 1]}")
     return members
 
 
@@ -88,35 +121,37 @@ def _table_from_elements(elems, compose):
     return FiniteGroup(mul)
 
 
+@functools.lru_cache(maxsize=64)
 def cyclic(n: int) -> FiniteGroup:
     g = np.add.outer(np.arange(n), np.arange(n)) % n
     return FiniteGroup(g)
 
 
-def _perm_compose(a, b):
-    # (a o b)(x) = a[b[x]]
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
+@functools.lru_cache(maxsize=64)
 def symmetric(n: int) -> FiniteGroup:
-    elems = sorted(itertools.permutations(range(n)))
-    return _table_from_elements(elems, _perm_compose)
+    """S_n: element i is the i-th permutation of range(n) in lexicographic
+    order, and i * j is the composition (a o b)(x) = a[b[x]]."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # permutations come in lexicographic order, the order of their base-n codes,
+    # so a sorted search over the codes indexes every product
+    place = n ** np.arange(n - 1, -1, -1)
+    return FiniteGroup(np.searchsorted(perms @ place, perms[:, perms] @ place))
 
 
+@functools.lru_cache(maxsize=64)
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n as permutations of the n-gon vertices."""
-    rot = tuple((i + 1) % n for i in range(n))
-    ref = tuple((-i) % n for i in range(n))
-    elems = []
-    r = tuple(range(n))
-    for _ in range(n):
-        elems.append(r)
-        r = _perm_compose(rot, r)
-    for base in list(elems):
-        elems.append(_perm_compose(ref, base))
-    return _table_from_elements(elems, _perm_compose)
+    """Dihedral group of order 2n acting on the n-gon vertices: element k is the
+    rotation r^k (x -> x + k) and element n + k the reflection s r^k
+    (x -> -x - k), composed as maps.  From r^a s = s r^-a,
+    (s^f r^a)(s^g r^b) = s^(f xor g) r^(b + (-1)^g a)."""
+    k = np.arange(2 * n) % n
+    flip = np.arange(2 * n) >= n
+    # row s^f r^a times column s^g r^b
+    turn = np.where(flip[None, :], -k[:, None], k[:, None]) + k[None, :]
+    return FiniteGroup(n * (flip[:, None] ^ flip[None, :]) + turn % n)
 
 
+@functools.lru_cache(maxsize=64)
 def quaternion() -> FiniteGroup:
     """Quaternion group Q8 = {±1, ±i, ±j, ±k}."""
     units = ["1", "i", "j", "k"]

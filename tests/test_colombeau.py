@@ -221,6 +221,40 @@ class TestL1Embedding:
         assert rep["sup_value"] == pytest.approx(1.0, abs=1e-3)
 
 
+L1_CATALOG = ["const", "poly:2", "poly:3", "abs", "heaviside", "exp", "sin", "spike:0.25"]
+
+
+class TestL1EmbeddingWindow:
+    """The windowed sum against the dense kernel m((k - u)/eps)/eps on every u."""
+
+    def _compare(self, m, eps, k_grid, support, n_fine=20001):
+        du = (support[1] - support[0]) / n_fine
+        u = support[0] + du * (np.arange(n_fine) + 0.5)
+        kernel = m((k_grid[:, None] - u[None, :]) / eps) / eps
+        for name in L1_CATALOG:
+            fu = np.asarray(catalog(name)(u), dtype=float)
+            dense = float(np.max(np.abs(kernel @ fu * du)))
+            l1_norm = float(np.sum(np.abs(fu)) * du)
+            rep = l1_embedding_bound(catalog(name), m, eps, k_grid=k_grid, support=support)
+            assert rep["sup_value"] == pytest.approx(dense, rel=1e-13, abs=0)
+            assert rep["l1_norm"] == l1_norm
+            assert rep["c"] == m.sup / eps
+            assert rep["holds"] == bool(dense <= rep["c"] * l1_norm + 1e-12)
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    @pytest.mark.parametrize("j", range(1, 7))
+    def test_matches_dense_kernel(self, q, j):
+        self._compare(build_mollifier(q), 2.0 ** -j, np.linspace(-1.0, 1.0, 201), (-2.0, 2.0))
+
+    def test_windows_past_the_grid_ends(self, m2):
+        self._compare(m2, 0.5, np.linspace(-1.4, 1.4, 201), (-1.5, 1.5))
+
+    @pytest.mark.parametrize("eps", [0.0, -0.25, float("nan")])
+    def test_rejects_nonpositive_eps(self, m2, eps):
+        with pytest.raises(ValueError, match="eps"):
+            l1_embedding_bound(catalog("const"), m2, eps)
+
+
 class TestCatalog:
     def test_names(self):
         t = np.array([-1.0, 0.0, 2.0])

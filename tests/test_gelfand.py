@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,10 @@ class TestFiniteGroup:
 
     def test_dihedral_and_quaternion_orders(self):
         assert gelfand.dihedral(4).order == 8
+        # D1 = Z2 and D2 = Z2 x Z2, where the n-gon picture degenerates
+        assert gelfand.dihedral(1).order == 2
+        v4 = gelfand.dihedral(2).mul
+        assert np.array_equal(v4, v4.T) and np.all(np.diag(v4) == 0)
         assert gelfand.quaternion().order == 8
 
     def test_quaternion_not_abelian(self):
@@ -39,14 +44,53 @@ class TestFiniteGroup:
             assert s3.mul[s3.inv[g], g] == s3.id
 
     def test_rejects_non_associative(self):
-        # a Latin square with identity that is not a group table
+        # a loop that is not a group: a Latin square with a two-sided identity
+        # in which every element is its own two-sided inverse
         table = np.array([[0, 1, 2, 3, 4],
                           [1, 0, 3, 4, 2],
                           [2, 4, 0, 1, 3],
                           [3, 2, 4, 0, 1],
                           [4, 3, 1, 2, 0]])
-        with pytest.raises(gelfand.GroupError):
-            gelfand.FiniteGroup(table)
+        # times Z2, indexed 2 l + z: element 1 = (e, 1) passes the generator
+        # check, so the failure shows only at a later generator
+        z2 = np.array([[0, 1], [1, 0]])
+        product = (2 * table[:, None, :, None] + z2[None, :, None, :]).reshape(10, 10)
+        for t in (table, product):
+            n = len(t)
+            assert all(sorted(row) == list(range(n)) for row in np.r_[t, t.T])
+            assert np.all(np.diag(t) == 0)
+            assert not np.array_equal(t[t, :], t[:, t])
+            with pytest.raises(gelfand.GroupError, match="not associative"):
+                gelfand.FiniteGroup(t)
+
+    def test_rejects_what_the_full_check_rejects(self):
+        # single-entry edits of S4 against the n^3 check mul[mul, :] == mul[:, mul]
+        s4 = gelfand.symmetric(4).mul
+        rng = np.random.default_rng(7)
+        by_generators = 0
+        for _ in range(200):
+            table = s4.copy()
+            i, j = rng.integers(24, size=2)
+            table[i, j] = (table[i, j] + rng.integers(1, 24)) % 24
+            assert not np.array_equal(table[table, :], table[:, table])
+            if 0 in (i, j):          # the identity's row or column: no identity left
+                with pytest.raises(gelfand.GroupError):
+                    gelfand.FiniteGroup(table)
+            else:
+                by_generators += 1
+                with pytest.raises(gelfand.GroupError, match="not associative"):
+                    gelfand.FiniteGroup(table)
+        assert by_generators > 150
+
+    def test_tables_are_read_only_copies(self):
+        table = gelfand.cyclic(5).mul.copy()
+        group = gelfand.FiniteGroup(table)
+        table[0, 0] = 1                          # the caller's array stays writable
+        assert group.mul[0, 0] == 0
+        with pytest.raises(ValueError):
+            group.mul[0, 0] = 1
+        with pytest.raises(ValueError):
+            group.inv[0] = 1
 
     def test_rejects_no_identity(self):
         with pytest.raises(gelfand.GroupError):
@@ -58,6 +102,28 @@ class TestFiniteGroup:
         assert set(members) == {s3.id, t}
         with pytest.raises(gelfand.GroupError):
             gelfand.subgroup(s3, [t])  # missing identity
+
+    def test_subgroup_names_first_failure(self, s3):
+        # reference: the row-by-row scan, a's inverse before the products a * b
+        def first_failure(members):
+            for a in members:
+                if s3.inv[a] not in members:
+                    return f"subgroup not closed under inverse at element {a}"
+                for b in members:
+                    if s3.mul[a, b] not in members:
+                        return f"subgroup not closed under product {a} * {b}"
+            return None
+
+        for size in range(5):
+            for rest in itertools.combinations(range(1, 6), size):
+                members = [s3.id, *rest]
+                want = first_failure(members)
+                if want is None:
+                    assert list(gelfand.subgroup(s3, members)) == members
+                else:
+                    with pytest.raises(gelfand.GroupError) as err:
+                        gelfand.subgroup(s3, members)
+                    assert str(err.value) == want
 
     def test_load_group_table(self, tmp_path):
         z3 = gelfand.cyclic(3)
@@ -89,6 +155,11 @@ def _perm_product(a, b):
     return tuple(np.asarray(a)[list(b)])
 
 
+def _fixing(n, keep):
+    """Indices in symmetric(n) of the permutations p with keep(p)."""
+    return [i for i, p in enumerate(sorted(itertools.permutations(range(n)))) if keep(p)]
+
+
 def _hamilton(a, b):
     """Product of unit quaternions given as 4-tuples (1, i, j, k)."""
     a0, a1, a2, a3 = a
@@ -97,20 +168,34 @@ def _hamilton(a, b):
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
+LIBRARY_CONSTRUCTORS = (gelfand.cyclic, gelfand.dihedral, gelfand.symmetric, gelfand.quaternion)
+
+
 class TestGroupLibrary:
     """Library tables against tables built here from the element lists."""
 
-    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_symmetric_table(self, n):
         elems = sorted(itertools.permutations(range(n)))
         assert np.array_equal(gelfand.symmetric(n).mul, _table(elems, _perm_product))
 
+    def test_symmetric_6_is_small(self):
+        gelfand.symmetric.cache_clear()
+        tracemalloc.start()
+        try:
+            s6 = gelfand.symmetric(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s6.order == 720
+        assert peak < 100e6
+
     def test_dihedral_table(self):
-        n = 4
-        rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
-        reflection = tuple((-i) % n for i in range(n))
-        elems = rotations + [_perm_product(reflection, r) for r in rotations]
-        assert np.array_equal(gelfand.dihedral(n).mul, _table(elems, _perm_product))
+        for n in range(3, 18):
+            rotations = [tuple((i + k) % n for i in range(n)) for k in range(n)]
+            reflection = tuple((-i) % n for i in range(n))
+            elems = rotations + [_perm_product(reflection, r) for r in rotations]
+            assert np.array_equal(gelfand.dihedral(n).mul, _table(elems, _perm_product))
 
     def test_quaternion_table(self):
         units = np.eye(4, dtype=int)
@@ -128,7 +213,11 @@ class TestGroupLibrary:
             init(self, mul)
 
         monkeypatch.setattr(gelfand.FiniteGroup, "__init__", counting_init)
-        build()
+        for constructor in LIBRARY_CONSTRUCTORS:
+            constructor.cache_clear()
+        group = build()
+        assert len(calls) == 1
+        assert build() is group                  # built once per process
         assert len(calls) == 1
 
 
@@ -316,6 +405,23 @@ class TestSphericalFunctions:
                     rhs = (gelfand.spherical_transform(basis[i], phi, s4)
                            * gelfand.spherical_transform(basis[j], phi, s4))
                     assert abs(lhs - rhs) < 1e-10
+
+    @pytest.mark.parametrize("group, k, dims", [
+        (lambda: gelfand.symmetric(4), _fixing(4, lambda p: p[3] == 3), [3, 1]),
+        (lambda: gelfand.symmetric(4), _fixing(4, lambda p: set(p[:2]) == {0, 1}), [3, 2, 1]),
+        (lambda: gelfand.dihedral(5), [0, 5], [2, 2, 1]),
+        (lambda: gelfand.cyclic(6), [0], [1] * 6),
+        (lambda: gelfand.symmetric(5), _fixing(5, lambda p: p[4] == 4), [4, 1]),
+    ], ids=["S4/S3", "S4/S2xS2", "D5/<s>", "Z6/1", "S5/S4"])
+    def test_plancherel_dimensions(self, group, k, dims):
+        # (1/|G|) sum |phi|^2 = 1/d for the spherical function of an irreducible
+        # of dimension d, and the d sum to the index [G:K]
+        g = group()
+        d = np.array([g.order / np.sum(np.abs(phi) ** 2)
+                      for phi in gelfand.spherical_functions(g, k)])
+        assert np.max(np.abs(d - np.round(d))) < 1e-9
+        assert sorted(np.round(d).astype(int).tolist()) == sorted(dims)
+        assert sum(dims) == g.order // len(k)
 
     def test_count_matches_cosets(self, s3):
         k = [s3.id, first_transposition(s3)]
