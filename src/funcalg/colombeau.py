@@ -24,8 +24,11 @@ from numpy.polynomial import Chebyshev, Polynomial
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 200-point Gauss-Legendre rule on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(200)
+    """The 200-point Gauss-Legendre rule on [-1, 1], built on first use; read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _bump(t: np.ndarray) -> np.ndarray:
@@ -37,14 +40,37 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mollifier:
-    """Unit-mass bump with vanishing moments 1..q, supported in [-1, 1]."""
+    """Unit-mass bump with vanishing moments 1..q, supported in [-1, 1].
+
+    The arrays are read-only copies, and two mollifiers are equal when q and
+    the arrays are.  The derivative polynomials and quadrature weights are
+    built on first use and then kept; they take no part in equality or repr.
+    """
 
     q: int
     correction: np.ndarray = field(repr=False)   # coefficients of c(t^2)
     grid: np.ndarray = field(repr=False)         # dense sample grid
     samples: np.ndarray = field(repr=False)
+    _polys: dict = field(default_factory=dict, init=False, repr=False)    # n -> P_n
+    _weights: dict = field(default_factory=dict, init=False, repr=False)  # n -> weights
+
+    def __post_init__(self):
+        for name in ("correction", "grid", "samples"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mollifier):
+            return NotImplemented
+        return self.q == other.q and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("correction", "grid", "samples"))
+
+    def __hash__(self):
+        return hash((self.q, self.correction.tobytes()))
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -55,6 +81,22 @@ class Mollifier:
     def sup(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
+    def _chebyshev(self, order: int) -> Chebyshev:
+        """P_order of the derivative recurrence, extended from the highest P_n
+        built so far.  Concurrent callers can only build the same P_n twice."""
+        polys = self._polys
+        if order not in polys:
+            t = Chebyshev.identity()
+            s = 1.0 - t ** 2
+            if not polys:
+                polys[0] = Polynomial(self.correction)(t ** 2)
+            top = max(polys)
+            p = polys[top]
+            for n in range(top, order):
+                p = s ** 2 * p.deriv() + (4 * n * t * s - 2 * t) * p
+                polys[n + 1] = p
+        return polys[order]
+
     def derivative_fn(self, order: int):
         """Callable for the order-th derivative, in closed form inside the support.
 
@@ -62,16 +104,16 @@ class Mollifier:
         where P_0 = c(t^2) and P_(n+1) = s^2 P_n' + (4n t s - 2t) P_n.  P_n is
         kept in the Chebyshev basis: its monomial coefficients grow fast
         enough (2e5 at q = 4, n = 4) to cost three digits near |t| = 1.
+
+        Mollifiers are cached per process and read-only, and each one builds
+        P_n once per order n, extending the recurrence from the highest order
+        it already holds, so a repeated call only evaluates.
         """
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         if order == 0:
             return self
-        t = Chebyshev.identity()
-        s = 1.0 - t ** 2
-        p = Polynomial(self.correction)(t ** 2)
-        for n in range(order):
-            p = s ** 2 * p.deriv() + (4 * n * t * s - 2 * t) * p
+        p = self._chebyshev(order)
 
         def deriv(x):
             x = np.asarray(x, dtype=float)
@@ -85,9 +127,29 @@ class Mollifier:
 
         return deriv
 
+    def quadrature_weights(self, order: int) -> np.ndarray:
+        """phi^(order)(y_i) w_i on the Gauss-Legendre nodes y_i: all 200 of them
+        for order 0, the 100 positive ones (the folded rule) for order >= 1.
+        Built once per order and kept; read-only."""
+        w = self._weights.get(order)
+        if w is None:
+            nodes, weights = _gauss_legendre()
+            if order == 0:
+                w = self(nodes) * weights
+            else:
+                pos = nodes > 0
+                w = self.derivative_fn(order)(nodes[pos]) * weights[pos]
+            w.setflags(write=False)
+            w = self._weights.setdefault(order, w)
+        return w
 
+
+@functools.lru_cache(maxsize=64)
 def build_mollifier(q: int, grid_points: int = 4001) -> Mollifier:
-    """Solve the even-moment system so moments 2, 4, .., q vanish; mass one."""
+    """Solve the even-moment system so moments 2, 4, .., q vanish; mass one.
+
+    Cached per process: a repeated call returns the same read-only mollifier.
+    """
     if q < 0 or q % 2 != 0:
         raise ValueError(f"q must be an even nonnegative integer, got {q}")
     n = q // 2 + 1
@@ -123,10 +185,9 @@ def regularize(f, m: Mollifier, eps: float, k_grid) -> np.ndarray:
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     k_grid = np.asarray(k_grid, dtype=float)
-    nodes, weights = _gauss_legendre()
-    phi_vals = m(nodes) * weights
+    nodes, _ = _gauss_legendre()
     pts = k_grid[:, None] + eps * nodes[None, :]
-    return np.asarray(f(pts), dtype=float) @ phi_vals
+    return np.asarray(f(pts), dtype=float) @ m.quadrature_weights(0)
 
 
 def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np.ndarray:
@@ -143,10 +204,9 @@ def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np
     if order == 0:
         return regularize(f, m, eps, k_grid)
     t = np.asarray(k_grid, dtype=float)[:, None]
-    nodes, weights = _gauss_legendre()
-    pos = nodes > 0
-    y = nodes[pos]
-    w = m.derivative_fn(order)(y) * weights[pos]
+    nodes, _ = _gauss_legendre()
+    y = nodes[nodes > 0]
+    w = m.quadrature_weights(order)
     sign = (-1.0) ** order
     vals = (np.asarray(f(t + eps * y), dtype=float)
             + sign * np.asarray(f(t - eps * y), dtype=float))

@@ -18,11 +18,12 @@ class GroupError(ValueError):
     """Raised for invalid multiplication tables or subgroups."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Multiplication-table group; element i * element j = mul[i, j].
 
     mul and inv are read-only; the constructor copies the table it is given.
+    Two groups are equal when their tables are.
     """
 
     mul: np.ndarray
@@ -54,6 +55,14 @@ class FiniteGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "id", ident)
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteGroup):
+            return NotImplemented
+        return np.array_equal(self.mul, other.mul)
+
+    def __hash__(self):
+        return hash(self.mul.tobytes())
 
     @property
     def order(self) -> int:
@@ -251,8 +260,14 @@ def _indicator_basis(blocks, order: int) -> np.ndarray:
     return basis
 
 
-def _coset_counts(group: FiniteGroup, blocks) -> np.ndarray:
-    """N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k}, r_k the first element of D_k.
+# int64 bins of structure constants counted at once (32 MB); d^3 fits for d <= 161
+_MAX_BINS = 2 ** 22
+
+
+def _coset_counts(group: FiniteGroup, blocks):
+    """N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k}, r_k the first element of D_k,
+    yielded as N[:, :, k0:k1] for consecutive blocks of target cosets k, each of
+    at most _MAX_BINS entries (and at least one k).
 
     e_i * e_j takes the value N[i, j, k] / (|G| |D_i| |D_j|) on D_k, so these
     integers are the structure constants of the double-coset algebra.
@@ -264,15 +279,23 @@ def _coset_counts(group: FiniteGroup, blocks) -> np.ndarray:
     reps = np.array([block[0] for block in blocks])
     # each x in G pairs with exactly one y = x^-1 r_k
     y = group.mul[group.inv[:, None], reps[None, :]]         # n x d
-    idx = (block_of[:, None] * d + block_of[y]) * d + np.arange(d)
-    return np.bincount(idx.ravel(), minlength=d ** 3).reshape(d, d, d)
+    pair = block_of[:, None] * d + block_of[y]               # i d + j for (x, y)
+    width = max(1, _MAX_BINS // d ** 2)
+    for k0 in range(0, d, width):
+        w = min(width, d - k0)
+        idx = pair[:, k0:k0 + w] * w + np.arange(w)
+        yield np.bincount(idx.ravel(), minlength=d * d * w).reshape(d, d, w)
 
 
-def _commutator_report(group: FiniteGroup, blocks, counts: np.ndarray) -> dict:
-    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from exact counts."""
+def _commutator_report(group: FiniteGroup, blocks, counts) -> dict:
+    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from exact counts
+    given as blocks of target cosets."""
+    d = len(blocks)
+    gap = np.zeros((d, d), dtype=np.int64)                  # max over k of |N_ijk - N_jik|
+    for part in counts:
+        np.maximum(gap, np.abs(part - part.transpose(1, 0, 2)).max(axis=2), out=gap)
     sizes = np.array([len(block) for block in blocks], dtype=float)
-    comm = (np.abs(counts - counts.transpose(1, 0, 2)).max(axis=2)
-            / (group.order * np.outer(sizes, sizes)))
+    comm = gap / (group.order * np.outer(sizes, sizes))
     comm = np.triu(comm, 1)
     i, j = np.unravel_index(np.argmax(comm), comm.shape)
     worst = float(comm[i, j])
@@ -307,11 +330,14 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0,
     with e_i * e_j expanded through the structure constants.
     """
     blocks = double_cosets(group, k_members)
-    counts = _coset_counts(group, blocks)
-    report = _commutator_report(group, blocks, counts)
+    d, n = len(blocks), group.order
+    if d ** 3 > _MAX_BINS:
+        raise GroupError(f"{d} double cosets: the {d}^3 structure constants exceed "
+                         f"the {_MAX_BINS} counted at once")
+    (counts,) = _coset_counts(group, blocks)                # one block, as d^3 fits
+    report = _commutator_report(group, blocks, [counts])
     if not report["gelfand"]:
         raise GroupError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
-    d, n = len(blocks), group.order
     sizes = np.array([len(block) for block in blocks], dtype=float)
     basis = _indicator_basis(blocks, n)
     # e_i * e_j = sum_k c[i, k, j] e_k

@@ -23,6 +23,8 @@ written out with ``_rec``.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import bergman, bloch, colombeau, gelfand, hardy, liefields
@@ -366,6 +368,28 @@ def gelfand_suite(seed: int = 0) -> list[dict]:
     rep = gelfand.is_gelfand_pair(q8, [q8.id])
     out.append(_rec("(Q8, trivial) rejected with witness", not rep["gelfand"],
                     witness=rep["witness"], max_commutator=rep["max_commutator"]))
+
+    # Plancherel: (1/|G|) sum |phi|^2 = 1/d for the spherical function of an
+    # irreducible of dimension d, and these d sum to the index [G:K]
+    s4 = gelfand.symmetric(4)
+    perms4 = list(itertools.permutations(range(4)))
+    plancherel_pairs = {
+        "S3/<transposition>": (s3, k),
+        "S4/S3": (s4, [i for i, p in enumerate(perms4) if p[3] == 3]),
+        "S4/S2xS2": (s4, [i for i, p in enumerate(perms4) if set(p[:2]) == {0, 1}]),
+        "D5/<s>": (gelfand.dihedral(5), [0, 5]),
+        "Z6/1": (gelfand.cyclic(6), [0]),
+    }
+    dims, dim_errors, sums_hold = {}, [], True
+    for name, (group, members) in plancherel_pairs.items():
+        d = np.array([group.order / np.sum(np.abs(phi) ** 2)
+                      for phi in gelfand.spherical_functions(group, members, seed=seed)])
+        dim_errors.append(float(np.max(np.abs(d - np.round(d)))))
+        dims[name] = sorted(int(x) for x in np.round(d))
+        sums_hold &= sum(dims[name]) == group.order // len(members)
+    out.append(_rec("Plancherel dimensions are integers summing to the index",
+                    max(dim_errors) < 1e-9 and sums_hold, dimensions=dims,
+                    max_error=max(dim_errors), tolerance=1e-9))
 
     sph4 = gelfand.spherical_functions(gelfand.cyclic(4), [0], seed=seed)
     chars = {tuple(np.round(1j ** (j * np.arange(4)), 9)) for j in range(4)}

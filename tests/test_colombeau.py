@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev, Polynomial
 from scipy.integrate import quad
 
 from funcalg import colombeau
 from funcalg.colombeau import (
     EpsilonNet,
+    Mollifier,
     build_mollifier,
     catalog,
     default_ladder,
@@ -85,6 +87,103 @@ class TestMollifier:
     def test_derivative_fn_rejects_negative_order(self, m2):
         with pytest.raises(ValueError):
             m2.derivative_fn(-1)
+
+
+def fresh(m):
+    """A mollifier equal to m with nothing built yet."""
+    return Mollifier(q=m.q, correction=m.correction, grid=m.grid, samples=m.samples)
+
+
+def reference_weights(m, order):
+    """phi^(order)(y) w on the Gauss-Legendre nodes, all of them for order 0 and
+    the positive ones otherwise, from a recurrence built here from scratch:
+    P_0 = c(t^2), P_(n+1) = s^2 P_n' + (4n t s - 2t) P_n."""
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    if order == 0:
+        return m(nodes) * weights
+    t = Chebyshev.identity()
+    s = 1.0 - t ** 2
+    p = Polynomial(m.correction)(t ** 2)
+    for n in range(order):
+        p = s ** 2 * p.deriv() + (4 * n * t * s - 2 * t) * p
+    y = nodes[nodes > 0]
+    sy = 1.0 - y ** 2
+    return p(y) * np.exp(-1.0 / sy - 2 * order * np.log(sy)) * weights[nodes > 0]
+
+
+class TestMollifierCache:
+    def test_value_semantics(self):
+        m2, m4 = build_mollifier(2), build_mollifier(4)
+        copy = fresh(m2)
+        m2.quadrature_weights(3)                 # the memo takes no part in equality
+        assert copy == m2 and hash(copy) == hash(m2) and copy is not m2
+        assert m2 != m4 and m2 != "m2"
+        assert len({m2, copy, m4}) == 2
+        assert repr(m2) == "Mollifier(q=2)"
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    def test_built_once_and_read_only(self, q):
+        m = build_mollifier(q)
+        assert build_mollifier(q) is m
+        for arr in (m.correction, m.grid, m.samples, m.quadrature_weights(0),
+                    m.quadrature_weights(2)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_constructor_copies(self):
+        correction = build_mollifier(2).correction.copy()
+        m = Mollifier(q=2, correction=correction, grid=np.zeros(3), samples=np.zeros(3))
+        correction[0] = 5.0                      # the caller's array stays writable
+        assert m.correction[0] == build_mollifier(2).correction[0]
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", ["abs", "exp", "spike:0.25"])
+    def test_derivative_matches_scratch_recurrence(self, q, order, name):
+        m, f = build_mollifier(q), catalog(name)
+        t = np.linspace(-1.0, 1.0, 101)[:, None]
+        nodes, _ = np.polynomial.legendre.leggauss(200)
+        y = nodes[nodes > 0]
+        w = reference_weights(m, order)
+        assert np.array_equal(m.quadrature_weights(order), w)
+        for eps in (0.5, 2.0 ** -7):
+            sign = (-1.0) ** order
+            want = (f(t + eps * y) + sign * f(t - eps * y)) @ w * sign / eps ** order
+            assert np.array_equal(regularize_derivative(f, m, eps, t[:, 0], order), want)
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    def test_regularize_matches_scratch_weights(self, q):
+        m, f = build_mollifier(q), catalog("sin")
+        nodes, _ = np.polynomial.legendre.leggauss(200)
+        k = np.linspace(-1.0, 1.0, 101)
+        want = f(k[:, None] + 0.25 * nodes[None, :]) @ reference_weights(m, 0)
+        assert np.array_equal(regularize(f, m, 0.25, k), want)
+
+    @pytest.mark.parametrize("first, second", [(2, 4), (4, 2)])
+    def test_weights_never_mix_across_q(self, first, second):
+        ms = {q: fresh(build_mollifier(q)) for q in (first, second)}
+        for q in (first, second):
+            for order in (0, 1, 2, 3):
+                assert np.array_equal(ms[q].quadrature_weights(order),
+                                      reference_weights(ms[q], order)), (q, order)
+
+    def test_ladder_builds_each_polynomial_once(self, monkeypatch):
+        # every step of the recurrence differentiates P_n once
+        built = []
+
+        class Spy(Chebyshev):
+            def deriv(self, m=1):
+                built.append(self.degree())
+                return super().deriv(m)
+
+        monkeypatch.setattr(colombeau, "Chebyshev", Spy)
+        m = fresh(build_mollifier(4))
+        seminorm_net(catalog("abs"), m, 3)
+        assert len(built) == 3 and len(set(built)) == 3
+        seminorm_net(catalog("exp"), m, 2)        # P_1, P_2 are kept
+        assert len(built) == 3
+        seminorm_net(catalog("exp"), m, 4)        # extended from P_3, not restarted
+        assert len(built) == 4
 
 
 class TestRegularize:

@@ -92,6 +92,16 @@ class TestFiniteGroup:
         with pytest.raises(ValueError):
             group.inv[0] = 1
 
+    def test_value_semantics(self):
+        z3 = gelfand.cyclic(3)
+        copy = gelfand.FiniteGroup(z3.mul)
+        assert copy is not z3 and copy == z3 and hash(copy) == hash(z3)
+        assert z3 != gelfand.cyclic(4)
+        assert z3 != "z3"
+        # S3 and D3 are isomorphic, but their tables differ
+        assert gelfand.symmetric(3) != gelfand.dihedral(3)
+        assert len({z3, copy, gelfand.cyclic(4), gelfand.symmetric(3)}) == 3
+
     def test_rejects_no_identity(self):
         with pytest.raises(gelfand.GroupError):
             gelfand.FiniteGroup(np.array([[0, 0], [0, 0]]))
@@ -345,7 +355,7 @@ class TestGelfandPair:
         k = [s4.id, first_transposition(s4)]
         blocks = gelfand.double_cosets(s4, k)
         basis = gelfand.coset_basis(s4, k)
-        counts = gelfand._coset_counts(s4, blocks)
+        (counts,) = gelfand._coset_counts(s4, blocks)
         for i in range(len(blocks)):
             for j in range(len(blocks)):
                 conv = gelfand.convolve(basis[i], basis[j], s4)
@@ -362,6 +372,59 @@ class TestGelfandPair:
         comm = (gelfand.convolve(basis[i], basis[j], s5)
                 - gelfand.convolve(basis[j], basis[i], s5))
         assert np.max(np.abs(comm)) == pytest.approx(rep["max_commutator"], rel=1e-12)
+
+
+class TestCosetCountBlocks:
+    """Structure constants counted in blocks of target cosets under a small cap."""
+
+    CASES = [("q8", lambda g: [g.id]), ("s4", lambda g: [g.id]),
+             ("s4", lambda g: [g.id, first_transposition(g)]),
+             ("d5", lambda g: [g.id]), ("z6", lambda g: [0, 3]), ("s3", lambda g: [g.id])]
+
+    @pytest.mark.parametrize("cap", [1, 50, 1000])
+    def test_blocks_tile_the_full_tensor(self, cap, monkeypatch):
+        for name, pick in self.CASES:
+            group = gelfand.GROUP_LIBRARY[name]()
+            blocks = gelfand.double_cosets(group, pick(group))
+            (full,) = gelfand._coset_counts(group, blocks)
+            report = gelfand.is_gelfand_pair(group, pick(group))
+            monkeypatch.setattr(gelfand, "_MAX_BINS", cap)
+            parts = list(gelfand._coset_counts(group, blocks))
+            d = len(blocks)
+            assert all(part.size <= max(cap, d * d) for part in parts)
+            assert len(parts) == -(-d // max(1, cap // d ** 2))
+            assert np.array_equal(np.concatenate(parts, axis=2), full)
+            assert gelfand.is_gelfand_pair(group, pick(group)) == report
+            monkeypatch.undo()
+
+    def test_one_block_up_to_161_cosets(self):
+        assert 161 ** 3 <= gelfand._MAX_BINS < 162 ** 3
+
+    def test_s6_trivial_subgroup_in_bounded_memory(self):
+        # with K trivial the double cosets are the elements, and delta_a * delta_b
+        # = delta_(ab) / |G|, so the commutator is 1/720 at the first
+        # non-commuting pair, here the permutations 1 = (4 5) and 2 = (3 4)
+        s6 = gelfand.symmetric(6)
+        assert s6.mul[1, 2] != s6.mul[2, 1]
+        tracemalloc.start()
+        try:
+            rep = gelfand.is_gelfand_pair(s6, [s6.id])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep == {"gelfand": False, "max_commutator": 1 / 720, "witness": (1, 2)}
+        assert peak < 200e6
+
+    def test_spherical_functions_refuse_before_allocating(self):
+        s6 = gelfand.symmetric(6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(gelfand.GroupError, match="720 double cosets"):
+                gelfand.spherical_functions(s6, [s6.id])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestSphericalFunctions:

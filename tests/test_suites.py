@@ -103,6 +103,29 @@ class TestFaultsShow:
         rec = records["weighted seminorm submultiplicativity"]
         assert rec["passed"] is False and rec["detail"]["worst_gap"] > 0.0
 
+    def test_scaled_spherical_functions_fail_plancherel(self, monkeypatch):
+        name = "Plancherel dimensions are integers summing to the index"
+        rec = by_name(suites.gelfand_suite(seed=0))[name]
+        assert rec["passed"] is True
+        assert rec["detail"]["dimensions"] == {
+            "S3/<transposition>": [1, 2], "S4/S3": [1, 3], "S4/S2xS2": [1, 2, 3],
+            "D5/<s>": [1, 2, 2], "Z6/1": [1] * 6}
+        spherical = gelfand.spherical_functions
+        monkeypatch.setattr(gelfand, "spherical_functions",
+                            lambda *args, **kwargs: [1.01 * phi for phi in
+                                                     spherical(*args, **kwargs)])
+        rec = by_name(suites.gelfand_suite(seed=0))[name]
+        assert rec["passed"] is False and rec["detail"]["max_error"] > 1e-3
+
+    def test_dropped_spherical_function_fails_plancherel_sum(self, monkeypatch):
+        # the remaining dimensions are still integers, but no longer sum to [G:K]
+        spherical = gelfand.spherical_functions
+        monkeypatch.setattr(gelfand, "spherical_functions",
+                            lambda *args, **kwargs: spherical(*args, **kwargs)[:-1])
+        rec = by_name(suites.gelfand_suite(seed=0))[
+            "Plancherel dimensions are integers summing to the index"]
+        assert rec["passed"] is False and rec["detail"]["max_error"] < 1e-9
+
     def test_shifted_estimate_fails_every_rate(self, monkeypatch):
         estimate = colombeau.estimate_order
 
