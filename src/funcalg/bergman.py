@@ -90,11 +90,12 @@ def check_convolution_submultiplicative(f, g, p: float, q: DiscQuadrature) -> di
     """Check the Banach-algebra inequality ||f*g||_{A^p} <= ||f|| ||g||.
 
     f, g are (n_rad, n_ang) sample arrays; the convolution acts per radius in
-    the angle variable.  Returns {lhs, rhs, holds}.
+    the angle variable.  Returns {lhs, rhs, holds: lhs <= rhs + tolerance, tolerance}.
     """
     f = node_vector(f, q).reshape(q.n_rad, q.n_ang)
     g = node_vector(g, q).reshape(q.n_rad, q.n_ang)
     conv = angular_convolution(f, g)
     lhs = bergman_norm(conv, p, q)
     rhs = bergman_norm(f, p, q) * bergman_norm(g, p, q)
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-9)}
+    tol = 1e-9
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + tol), "tolerance": tol}

@@ -16,7 +16,9 @@ import numpy as np
 
 from .numcore import HoloPoly
 
+GRID_START = 64     # radii and angles of the first grid, doubled each refinement
 REFINE_TOL = 1e-6
+MAX_REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -36,28 +38,20 @@ def _best_on(f_prime: HoloPoly, alpha: float, r: np.ndarray, theta: np.ndarray):
     return float(vals[i, j]), complex(z[i, j]), r[i], theta[j]
 
 
-def _sup_on_grid(f_prime: HoloPoly, alpha: float, n_rad: int, n_ang: int):
-    # closed radial grid [0, 1) biased toward the boundary is unnecessary for
-    # polynomials: (1-r^2)^alpha kills the boundary, so uniform radii suffice
-    r = np.linspace(0.0, 1.0, n_rad, endpoint=False)
-    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-    return _best_on(f_prime, alpha, r, theta)
-
-
-def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
-                   refine_tol: float = REFINE_TOL, max_refine: int = 4) -> BlochReport:
-    """sup over the disc of (1-|z|^2)^alpha |f'(z)|, with certified grid refinement."""
+def bloch_seminorm(f: HoloPoly, alpha: float) -> BlochReport:
+    """sup over the disc of (1-|z|^2)^alpha |f'(z)|, by the grid doubling and
+    polish described above; nothing is certified."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if n_rad < 2 or n_ang < 4:
-        raise ValueError("grid too small")
     fp = f.derivative()
-    best, argmax, r0, t0 = _sup_on_grid(fp, alpha, n_rad, n_ang)
-    for _ in range(max_refine):
-        n_rad *= 2
-        n_ang *= 2
-        new, argmax, r0, t0 = _sup_on_grid(fp, alpha, n_rad, n_ang)
-        converged = abs(new - best) < refine_tol
+    best = np.inf
+    for level in range(MAX_REFINE + 1):
+        n = GRID_START * 2 ** level
+        # closed radial grid [0, 1) biased toward the boundary is unnecessary for
+        # polynomials: (1-r^2)^alpha kills the boundary, so uniform radii suffice
+        r = np.linspace(0.0, 1.0, n, endpoint=False)
+        new, argmax, r0, t0 = _best_on(fp, alpha, r, 2.0 * np.pi * np.arange(n) / n)
+        converged = abs(new - best) < REFINE_TOL
         best = new
         if converged:
             break
@@ -65,7 +59,7 @@ def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
     # local polish: a 5x5 polar stencil around the best point, both steps
     # halved each round until they reach rounding level
     offsets = np.arange(-2, 3)
-    dr, dt = 1.0 / n_rad, 2.0 * np.pi / n_ang
+    dr, dt = 1.0 / n, 2.0 * np.pi / n
     while dr > 1e-14 or dt > 1e-14:
         value, z, r0, t0 = _best_on(fp, alpha, np.clip(r0 + dr * offsets, 0.0, 1.0 - 1e-12),
                                     t0 + dt * offsets)
@@ -77,9 +71,9 @@ def bloch_seminorm(f: HoloPoly, alpha: float, n_rad: int = 64, n_ang: int = 64,
                        argmax_z=argmax)
 
 
-def bloch_norm(f: HoloPoly, alpha: float = 1.0, **kw) -> float:
+def bloch_norm(f: HoloPoly, alpha: float = 1.0) -> float:
     """|f(0)| + Bloch seminorm."""
-    return bloch_seminorm(f, alpha, **kw).norm
+    return bloch_seminorm(f, alpha).norm
 
 
 def mobius(a: complex, z):
@@ -101,39 +95,35 @@ def invariant_gradient_norm(f: HoloPoly, z: complex) -> float:
     return float((1.0 - abs(z) ** 2) * abs(f.derivative()(z)))
 
 
-def little_bloch_test(f: HoloPoly, radii, tol: float = 1e-3, n_ang: int = 256) -> bool:
+def little_bloch_test(f: HoloPoly, radii) -> bool:
     """True iff the invariant gradient decays along the given radius ladder.
 
-    Requires the per-radius angular maxima to be eventually decreasing and the
-    value at the largest radius to fall below tol.
+    Requires the per-radius maxima over 256 angles to be eventually decreasing
+    and the value at the largest radius to fall below 1e-3.
     """
     radii = np.asarray(radii, dtype=float)
     if not (np.all(np.diff(radii) > 0) and radii.max() < 1):
         raise ValueError("radii must be strictly increasing with max < 1")
     fp = f.derivative()
-    theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
+    theta = 2.0 * np.pi * np.arange(256) / 256
     ring = np.exp(1j * theta)
     maxima = np.array([
         np.max((1.0 - r ** 2) * np.abs(fp(r * ring))) for r in radii
     ])
     tail = maxima[len(maxima) // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12))
-    return bool(maxima[-1] < tol and eventually_decreasing)
+    return bool(maxima[-1] < 1e-3 and eventually_decreasing)
 
 
-def multiplier_apply(phi: HoloPoly, f: HoloPoly) -> HoloPoly:
-    """Pointwise multiplier: M_phi(f) = phi * f."""
-    return phi * f
-
-
-def multiplier_norm_report(phi: HoloPoly, test_set, alpha: float = 1.0, **kw) -> float:
-    """sup over the test set of ||phi f||_B / ||f||_B."""
+def multiplier_norm_report(phi: HoloPoly, test_set, alpha: float = 1.0) -> float:
+    """sup over the test set of ||phi f||_B / ||f||_B for the pointwise
+    multiplier M_phi(f) = phi * f."""
     ratios = []
     for f in test_set:
-        denom = bloch_norm(f, alpha, **kw)
+        denom = bloch_norm(f, alpha)
         if denom < 1e-14:
             continue
-        ratios.append(bloch_norm(multiplier_apply(phi, f), alpha, **kw) / denom)
+        ratios.append(bloch_norm(phi * f, alpha) / denom)
     if not ratios:
         raise ValueError("test set contains no nonzero function")
     return float(max(ratios))

@@ -42,6 +42,17 @@ def _cutoff(text: str) -> int:
     return value
 
 
+def _real(text: str) -> float:
+    """argparse type of the float options: a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 class NonFiniteError(Exception):
     """A result holds NaN or infinity: the computation diverged (exit 1)."""
 
@@ -127,8 +138,7 @@ def cmd_bergman_norm(args) -> int:
 def cmd_bergman_convolution(args) -> int:
     q, f, g = _disc_samples(args, args.f, args.g)
     report = bergman.check_convolution_submultiplicative(f, g, args.p, q)
-    record = {"operation": "convolution_submultiplicative", **report,
-              "tolerance": 1e-9}
+    record = {"operation": "convolution_submultiplicative", **report}
     if args.strict_paper:
         # alternative reading of the norm display: the per-radius circle mean
         # taken WITHOUT the outer 1/p power before radial integration
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_grid(p):
-        p.add_argument("--alpha", type=float, default=0.0)
+        p.add_argument("--alpha", type=_real, default=0.0)
         p.add_argument("--n-rad", type=int, default=64)
         p.add_argument("--n-ang", type=int, default=256)
 
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bergman-norm", help="A^p norm of a sampled symbol")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_real, default=2.0)
     add_grid(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bergman_norm)
@@ -335,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convolution", help="convolution submultiplicativity check")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_real, default=2.0)
     p.add_argument("--strict-paper", action="store_true")
     add_grid(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bergman_convolution)
 
     p = sub.add_parser("bloch", help="Bloch seminorm/norm of a polynomial")
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=_real, default=1.0)
     p.add_argument("--poly", required=True, help="comma-separated coefficients")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bloch)
@@ -351,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hardy_op", choices=["norm", "kernel", "toeplitz",
                                         "disc-membership"])
     p.add_argument("--poly")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_real, default=2.0)
     p.add_argument("--z")
     p.add_argument("--xi")
     p.add_argument("--coeffs", help="Fourier map k:value,k:value")
     p.add_argument("--cutoff", type=_cutoff, default=8)
     p.add_argument("--symbol")
     p.add_argument("--m", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_real, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_hardy)
 
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lie_op", choices=["bracket", "jacobi", "flows"])
     p.add_argument("--fields", required=True, help="JSON field file")
     p.add_argument("--point", default="0,0")
-    p.add_argument("--t", type=float, default=0.05)
+    p.add_argument("--t", type=_real, default=0.05)
     p.add_argument("--out")
     p.set_defaults(func=cmd_lie)
 
@@ -407,7 +417,8 @@ def main(argv=None) -> int:
     except (liefields.FieldError, NonFiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, KeyError, ValueError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:    # MemoryError: numpy refused an array the options asked for
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

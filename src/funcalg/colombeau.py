@@ -145,7 +145,7 @@ class Mollifier:
 
 
 @functools.lru_cache(maxsize=64)
-def build_mollifier(q: int, grid_points: int = 4001) -> Mollifier:
+def build_mollifier(q: int) -> Mollifier:
     """Solve the even-moment system so moments 2, 4, .., q vanish; mass one.
 
     Cached per process: a repeated call returns the same read-only mollifier.
@@ -165,7 +165,7 @@ def build_mollifier(q: int, grid_points: int = 4001) -> Mollifier:
     if not np.isfinite(cond) or cond > 1e14:
         raise ValueError("moment system is numerically singular")
     correction = np.linalg.solve(system, rhs)
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    grid = np.linspace(-1.0, 1.0, 4001)
     c = np.polynomial.polynomial.polyval(grid ** 2, correction)
     return Mollifier(q=q, correction=correction, grid=grid, samples=_bump(grid) * c)
 
@@ -180,14 +180,18 @@ def mollifier_moment(m: Mollifier, a: int) -> float:
 # regularization
 # ---------------------------------------------------------------------------
 
-def regularize(f, m: Mollifier, eps: float, k_grid) -> np.ndarray:
-    """Samples of f_eps(t) = integral f(t + eps*y) phi(y) dy on the grid."""
+def _shifted(f, eps: float, k_grid) -> np.ndarray:
+    """f(t + eps*y) for t on the grid (rows) and y over all Gauss-Legendre nodes."""
     if not 0 < eps <= 1:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     k_grid = np.asarray(k_grid, dtype=float)
     nodes, _ = _gauss_legendre()
-    pts = k_grid[:, None] + eps * nodes[None, :]
-    return np.asarray(f(pts), dtype=float) @ m.quadrature_weights(0)
+    return np.asarray(f(k_grid[:, None] + eps * nodes[None, :]), dtype=float)
+
+
+def regularize(f, m: Mollifier, eps: float, k_grid) -> np.ndarray:
+    """Samples of f_eps(t) = integral f(t + eps*y) phi(y) dy on the grid."""
+    return _shifted(f, eps, k_grid) @ m.quadrature_weights(0)
 
 
 def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np.ndarray:
@@ -217,8 +221,8 @@ def regularize_derivative(f, m: Mollifier, eps: float, k_grid, order: int) -> np
 # seminorms and order estimation
 # ---------------------------------------------------------------------------
 
-def default_ladder(j_max: int = 12, j_min: int = 1) -> np.ndarray:
-    return 2.0 ** -np.arange(j_min, j_max + 1)
+def default_ladder() -> np.ndarray:
+    return 2.0 ** -np.arange(1, 13)
 
 
 @dataclass(frozen=True)
@@ -244,20 +248,19 @@ class AsymptoticReport:
     order: int
 
 
-def estimate_order(net: EpsilonNet, negligible_order: int | None = None,
-                   max_moderate: int = 8, noise_floor: float = 1e-13) -> AsymptoticReport:
+def estimate_order(net: EpsilonNet, negligible_order: int | None = None) -> AsymptoticReport:
     """Least-squares log-log slope of the last 4 usable ladder points.
 
-    Points whose value sits below the double-precision noise floor carry no
-    rate information and are skipped.  negligible(m) when the slope certifies
-    O(eps^m) for the requested m; moderate(N) when values are O(eps^-N) for
-    some N <= max_moderate; unbounded otherwise.
+    Points whose value sits below the double-precision noise floor 1e-13
+    carry no rate information and are skipped.  negligible(m) when the slope
+    certifies O(eps^m) for the requested m; moderate(N) when values are
+    O(eps^-N) for some N <= 8; unbounded otherwise.
     """
     if len(net.epsilons) < 4:
         raise ValueError("need at least 4 epsilon points")
     eps = np.asarray(net.epsilons, dtype=float)
     vals = np.asarray(net.values, dtype=float)
-    usable = vals > noise_floor
+    usable = vals > 1e-13
     if usable.sum() >= 4:
         eps, vals = eps[usable][-4:], vals[usable][-4:]
     elif usable.sum() == 0:
@@ -271,7 +274,7 @@ def estimate_order(net: EpsilonNet, negligible_order: int | None = None,
     slope = float(np.polyfit(np.log(eps), np.log(vals), 1)[0])
     if negligible_order is not None and slope >= negligible_order - 1e-9:
         return AsymptoticReport(slope=slope, kind="negligible", order=negligible_order)
-    if slope >= -max_moderate - 1e-9:
+    if slope >= -8 - 1e-9:
         return AsymptoticReport(slope=slope, kind="moderate",
                                 order=max(0, math.ceil(-slope - 1e-9)))
     return AsymptoticReport(slope=slope, kind="unbounded", order=-1)
@@ -299,13 +302,13 @@ def taylor_defect(f, m: Mollifier, epsilons=None, k_grid=None) -> EpsilonNet:
 
 def product_defect(f, g, m: Mollifier, epsilons=None, k_grid=None) -> EpsilonNet:
     """Per-epsilon sup of |(f*phi_eps)(g*phi_eps) - (fg)*phi_eps|."""
+    w = m.quadrature_weights(0)
 
-    def fg(t):
-        return np.asarray(f(t), float) * np.asarray(g(t), float)
+    def defect_at(e, k):
+        fs, gs = _shifted(f, e, k), _shifted(g, e, k)
+        return (fs @ w) * (gs @ w) - (fs * gs) @ w
 
-    return _ladder(lambda e, k: (regularize(f, m, e, k) * regularize(g, m, e, k)
-                                 - regularize(fg, m, e, k)),
-                   epsilons, k_grid, alpha=0, q=m.q, defect="product")
+    return _ladder(defect_at, epsilons, k_grid, alpha=0, q=m.q, defect="product")
 
 
 def seminorm_net(f, m: Mollifier, alpha: int, epsilons=None, k_grid=None) -> EpsilonNet:
@@ -315,13 +318,14 @@ def seminorm_net(f, m: Mollifier, alpha: int, epsilons=None, k_grid=None) -> Eps
 
 
 def l1_embedding_bound(f, m: Mollifier, eps: float, k_grid=None,
-                       support=(-2.0, 2.0), n_fine: int = 20001) -> dict:
+                       support=(-2.0, 2.0)) -> dict:
     """Check sup_K |f * phi_eps| <= c ||f||_L1 with c = sup|phi| / eps.
 
-    Convolution and L1 norm use the same fine u-grid (midpoint rule), so the
-    discrete inequality is a triangle inequality and the reported ratio
+    Convolution and L1 norm use the same fine u-grid of 20001 midpoints, so
+    the discrete inequality is a triangle inequality and the reported ratio
     measures how sharp the bound is.
     """
+    n_fine = 20001
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     k_grid = np.linspace(-1.0, 1.0, 201) if k_grid is None else np.asarray(k_grid, float)

@@ -237,15 +237,12 @@ def delta_unit(group: FiniteGroup) -> np.ndarray:
 def double_cosets(group: FiniteGroup, k_members) -> list[np.ndarray]:
     """Partition of G into double cosets K g K, each a sorted index array."""
     k = subgroup(group, k_members)
-    seen = np.zeros(group.order, dtype=bool)
-    blocks = []
-    for g in range(group.order):
-        if seen[g]:
-            continue
-        block = np.unique(group.mul[np.ix_(group.mul[k, g], k)].ravel())
-        seen[block] = True
-        blocks.append(block)
-    return blocks
+    # label each g by the smallest element of K g K: low[x] = min of x K, and
+    # K g K is the union of the x K over x in K g
+    low = group.mul[:, k].min(axis=1)
+    labels = low[group.mul[k]].min(axis=0)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 def coset_basis(group: FiniteGroup, k_members) -> np.ndarray:
@@ -319,15 +316,14 @@ def spherical_transform(f, phi, group: FiniteGroup) -> complex:
     return complex(np.sum(f * phi[group.inv]) / group.order)
 
 
-def spherical_functions(group: FiniteGroup, k_members, seed: int = 0,
-                        tol: float = 1e-10) -> list[np.ndarray]:
+def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np.ndarray]:
     """All spherical functions of a Gelfand pair (G, K).
 
     Computed as common eigenvectors of the commuting convolution operators on
     the double-coset basis (separated by a random generic combination), then
     cross-validated by exhaustive multiplicativity of the integration
-    functional omega on all basis pairs: omega(e_i * e_j) = omega(e_i) omega(e_j),
-    with e_i * e_j expanded through the structure constants.
+    functional omega on all basis pairs: omega(e_i * e_j) = omega(e_i) omega(e_j)
+    within 1e-10, with e_i * e_j expanded through the structure constants.
     """
     blocks = double_cosets(group, k_members)
     d, n = len(blocks), group.order
@@ -356,7 +352,7 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0,
         phi = phi / phi[group.id]
         omega = basis @ phi[group.inv] / n                  # omega(e_i)
         lhs = np.einsum("ikj,k->ij", c, omega)              # omega(e_i * e_j)
-        if np.max(np.abs(lhs - np.outer(omega, omega))) >= tol:
+        if np.max(np.abs(lhs - np.outer(omega, omega))) >= 1e-10:
             raise GroupError("eigenvector failed the multiplicativity check")
         out.append(phi)
     return out

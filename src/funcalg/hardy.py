@@ -20,14 +20,14 @@ from .numcore import (
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
 
 
-def hardy_norm(f: HoloPoly, p: float, radii=RADIUS_LADDER, m: int = 512) -> float:
-    """sup over the radius ladder of the p-th circle mean of |f|."""
+def hardy_norm(f: HoloPoly, p: float, radii=RADIUS_LADDER) -> float:
+    """sup over the radius ladder of the p-th circle mean of |f| on 512 points."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0) or np.any(radii >= 1):
         raise ValueError("radii must lie in (0, 1)")
-    ring = boundary_points(m)
+    ring = boundary_points(512)
     means = [np.mean(np.abs(f(r * ring)) ** p) ** (1.0 / p) for r in radii]
     return float(max(means))
 
@@ -63,33 +63,33 @@ def poisson_kernel(z: complex, xi):
     return out if out.shape else float(out)
 
 
-def _reproduce(kernel, f: HoloPoly, z: complex, m: int) -> complex:
-    """Mean over the m-point boundary grid of f(xi) kernel(z, xi)."""
+def _reproduce(kernel, f: HoloPoly, z: complex) -> complex:
+    """Mean over the 256-point boundary grid of f(xi) kernel(z, xi)."""
     if abs(z) > 0.9:
         raise ValueError("|z| <= 0.9 required to control quadrature error")
-    if f.degree >= m // 4:
-        raise ValueError("polynomial degree too high for the boundary grid")
-    xi = boundary_points(m)
+    if f.degree >= 64:
+        raise ValueError("polynomial degree too high for the 256-point boundary grid")
+    xi = boundary_points(256)
     return complex(np.mean(f(xi) * kernel(z, xi)))
 
 
-def szego_reproduce(f: HoloPoly, z: complex, m: int = 256) -> complex:
+def szego_reproduce(f: HoloPoly, z: complex) -> complex:
     """Discrete Cauchy integral: mean over the grid of f(xi) C(z, xi)."""
-    return _reproduce(szego_kernel, f, z, m)
+    return _reproduce(szego_kernel, f, z)
 
 
-def poisson_reproduce(f: HoloPoly, z: complex, m: int = 256) -> complex:
+def poisson_reproduce(f: HoloPoly, z: complex) -> complex:
     """Discrete Poisson integral of a holomorphic polynomial at z."""
-    return _reproduce(poisson_kernel, f, z, m)
+    return _reproduce(poisson_kernel, f, z)
 
 
-def subharmonic_check(f: HoloPoly, z: complex, p: float, m: int = 256) -> dict:
+def subharmonic_check(f: HoloPoly, z: complex, p: float) -> dict:
     """Report on |f(z)|^p <= Poisson average of |f|^p over the boundary."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if abs(z) > 0.9:
         raise ValueError("|z| <= 0.9 required to control quadrature error")
-    xi = boundary_points(m)
+    xi = boundary_points(256)
     lhs = abs(f(z)) ** p
     rhs = float(np.mean(poisson_kernel(z, xi) * np.abs(f(xi)) ** p))
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-8)}

@@ -284,7 +284,7 @@ def hardy_suite(seed: int = 0) -> list[dict]:
     # Parseval cross-check at the top of the radius ladder
     polys = [_random_poly(rng, 8) for _ in range(10)]
     out = [_max_error("p=2 Parseval cross-check", (
-        abs(hardy.hardy_norm(f, 2.0, radii=[0.9999], m=512)
+        abs(hardy.hardy_norm(f, 2.0, radii=[0.9999])
             - hardy.hardy_norm_parseval(f, 0.9999)) for f in polys), 1e-10)]
 
     xi = boundary_points(512)

@@ -233,6 +233,7 @@ class TestSubmultiplicativity:
         assert rep["lhs"] == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-9)
         assert rep["rhs"] == pytest.approx(0.5, abs=1e-9)
         assert rep["holds"] is False
+        assert rep["tolerance"] == 1e-9
 
     def test_radius_independent_pair_holds(self, quad):
         rng = np.random.default_rng(2)

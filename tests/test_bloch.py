@@ -149,12 +149,6 @@ class TestLittleBloch:
 
 
 class TestMultiplier:
-    def test_apply_is_product(self):
-        phi = HoloPoly([1, 1])
-        f = HoloPoly([0, 2])
-        out = bloch.multiplier_apply(phi, f)
-        np.testing.assert_allclose(out.coeffs, [0, 2, 2])
-
     def test_unit_multiplier_norm_one(self):
         rng = np.random.default_rng(6)
         tests = [HoloPoly(rng.standard_normal(4) + 1j * rng.standard_normal(4))

@@ -73,6 +73,7 @@ class TestConvolution:
         assert rec["holds"] is False
         assert rec["lhs"] == pytest.approx(1 / np.sqrt(3), abs=1e-9)
         assert rec["rhs"] == pytest.approx(0.5, abs=1e-9)
+        assert rec["tolerance"] == 1e-9
 
     def test_constant_pair_exit_0(self, tmp_path):
         out = tmp_path / "conv.json"
@@ -345,6 +346,36 @@ class TestBadInput:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "--cutoff" in err and "cutoff must be an integer >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bloch", "--poly", "0,1", "--alpha", "nan"],
+        ["bergman-norm", "--symbol", "z", "--p", "nan"],
+        ["hardy", "norm", "--poly", "1,2", "--p", "inf"],
+        ["hardy", "disc-membership", "--symbol", "z", "--tol", "nan"],
+        ["toeplitz", "--symbol", "z", "--alpha", "inf"],
+        ["lie", "flows", "--fields", "unread.json", "--t", "nan"],
+        ["convolution", "--f", "z", "--g", "z", "--p", "1e400"],
+    ], ids=["bloch-alpha", "bergman-p", "hardy-p", "disc-tol", "toeplitz-alpha", "lie-t",
+            "convolution-p-overflow"])
+    def test_non_finite_float_option_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: expected a finite number" in err
+
+    @pytest.mark.parametrize("grid", [["--n-rad", "200000"], ["--n-ang", "3000000000"]],
+                             ids=["n-rad", "n-ang"])
+    def test_refused_allocation_exit_2(self, grid):
+        # 298 GiB and 22.4 GiB arrays: an address-space limit on the child makes
+        # numpy refuse them whatever memory the machine has
+        code = ("import resource, runpy, sys; "
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31)); "
+                f"sys.argv = ['funcalg', 'toeplitz', '--symbol', 'z'] + {grid!r}; "
+                "runpy.run_module('funcalg.cli', run_name='__main__')")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_checkout_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("subgroup", ["0,99", "0,-1"])
     def test_subgroup_index_out_of_range_exit_2(self, subgroup, capsys):

@@ -301,6 +301,24 @@ class TestDefectRates:
         net = product_defect(catalog("abs"), catalog("abs"), m2)
         assert np.all(net.values > 1e-10)
 
+    def test_product_defect_evaluates_each_factor_once_per_rung(self, m2):
+        calls = []
+
+        def counted(name):
+            f = catalog(name)
+            return lambda t: calls.append(name) or f(t)
+
+        net = product_defect(counted("abs"), counted("sin"), m2)
+        assert len(calls) == 2 * len(net.epsilons)
+        assert sorted(calls) == ["abs"] * 12 + ["sin"] * 12
+        # the same sums as regularizing f, g and fg separately
+        f, g = catalog("abs"), catalog("sin")
+        k = np.linspace(-1.0, 1.0, 801)
+        ref = [np.max(np.abs(regularize(f, m2, e, k) * regularize(g, m2, e, k)
+                             - regularize(lambda t: f(t) * g(t), m2, e, k)))
+               for e in net.epsilons]
+        np.testing.assert_array_equal(net.values, ref)
+
     def test_heaviside_derivative_growth(self, m2):
         rep = estimate_order(seminorm_net(catalog("heaviside"), m2, alpha=1))
         assert rep.slope == pytest.approx(-1.0, abs=0.2)

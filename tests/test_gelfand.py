@@ -178,6 +178,31 @@ def _hamilton(a, b):
             a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1, a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
+def _cyclic_subgroups(group):
+    """The distinct cyclic subgroups <g> of a group, as sorted member lists."""
+    found = set()
+    for g in range(group.order):
+        members, x = {group.id}, g
+        while x != group.id:
+            members.add(x)
+            x = group.mul[x, g]
+        found.add(tuple(sorted(members)))
+    return [list(k) for k in sorted(found)]
+
+
+def _double_cosets_by_loop(group, k):
+    """Reference partition: walk G in order and take K g K for each g not yet covered."""
+    k = np.asarray(k)
+    seen = np.zeros(group.order, dtype=bool)
+    blocks = []
+    for g in range(group.order):
+        if not seen[g]:
+            block = np.unique(group.mul[np.ix_(group.mul[k, g], k)].ravel())
+            seen[block] = True
+            blocks.append(block)
+    return blocks
+
+
 LIBRARY_CONSTRUCTORS = (gelfand.cyclic, gelfand.dihedral, gelfand.symmetric, gelfand.quaternion)
 
 
@@ -287,6 +312,20 @@ class TestBiinvariance:
         # K itself (size 2) and KtK for any other transposition t (size 4)
         sizes = sorted(len(b) for b in blocks)
         assert sizes == [2, 4]
+
+    def test_double_cosets_match_element_loop(self):
+        pairs = []
+        for build in gelfand.GROUP_LIBRARY.values():
+            group = build()
+            pairs += [(group, k) for k in _cyclic_subgroups(group)]
+        s5, s6 = gelfand.symmetric(5), gelfand.symmetric(6)
+        pairs += [(s5, [s5.id]), (s6, [s6.id]), (s6, _fixing(6, lambda p: p[5] == 5))]
+        for group, k in pairs:
+            blocks = gelfand.double_cosets(group, k)
+            expected = _double_cosets_by_loop(group, k)
+            assert len(blocks) == len(expected)
+            for block, want in zip(blocks, expected):
+                assert np.array_equal(block, want)
 
 
 class TestGelfandPair:

@@ -21,7 +21,7 @@ class TestNorm:
         k = np.arange(4)
         target = np.sqrt(np.sum(np.abs(f.coeffs) ** 2 * r ** (2 * k)))
         assert hardy.hardy_norm_parseval(f, r) == pytest.approx(target, abs=1e-14)
-        grid = hardy.hardy_norm(f, 2.0, radii=[r], m=512)
+        grid = hardy.hardy_norm(f, 2.0, radii=[r])
         assert grid == pytest.approx(target, abs=1e-10)
 
     def test_monotone_in_radius(self):
