@@ -47,7 +47,8 @@ class HoloPoly:
         z = np.asarray(z, dtype=complex)
         acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
         for c in self.coeffs[-2::-1]:
-            acc = acc * z + c
+            acc *= z
+            acc += c
         return acc if acc.shape else complex(acc)
 
     def __add__(self, other: "HoloPoly") -> "HoloPoly":
@@ -210,7 +211,10 @@ def boundary_points(m: int) -> np.ndarray:
 
 
 def boundary_grid_from(func, m: int) -> BoundaryGrid:
-    """Sample a callable on the m-point boundary grid."""
+    """Sample a callable on the m-point boundary grid; m is checked first, so a
+    bad m is reported as given."""
+    if m < 2 or m & (m - 1):
+        raise GridError(f"grid size must be a power of two, got {m}")
     return BoundaryGrid(np.asarray(func(boundary_points(m)), dtype=complex))
 
 

@@ -81,24 +81,6 @@ def _random_poly(rng, max_deg: int) -> HoloPoly:
     return HoloPoly(_cnormal(rng, deg + 1))
 
 
-def _random_symbol_samples(rng, q, max_deg: int = 3) -> np.ndarray:
-    """Random polynomial in z and conj(z), sampled on the quadrature nodes."""
-    z = q.nodes
-    out = np.zeros_like(z)
-    for j in range(max_deg + 1):
-        for k in range(max_deg + 1):
-            out = out + _cnormal(rng) * z ** j * np.conj(z) ** k
-    return out
-
-
-def _random_trig_grid(rng, q, max_freq: int = 6) -> np.ndarray:
-    """Radius-independent trigonometric polynomial on the tensor grid."""
-    freqs = np.arange(-max_freq, max_freq + 1)
-    c = _cnormal(rng, len(freqs))
-    ring = np.sum(c[:, None] * np.exp(1j * np.outer(freqs, q.angles)), axis=0)
-    return np.tile(ring, (q.n_rad, 1))
-
-
 def _random_int_field(rng, d: int, max_deg: int = 2) -> liefields.PolyVectorField:
     maps = []
     for _ in range(d):
@@ -129,6 +111,24 @@ def bergman_suite(seed: int = 0) -> list[dict]:
     q = build_disc_quadrature(0.0, 64, 256)
     z = q.nodes
     cutoff = 16
+    # draw tables, built once: z^j and conj(z)^k for j, k <= 3, and the
+    # angular characters of the frequencies -6..6
+    powers = [z ** j for j in range(4)]
+    conj_powers = [np.conj(z) ** k for k in range(4)]
+    chars = np.exp(1j * np.outer(np.arange(-6, 7), q.angles))
+
+    def symbol():
+        """Random polynomial in z and conj(z), sampled on the quadrature nodes."""
+        out = np.zeros_like(z)
+        for zj in powers:
+            for zk in conj_powers:
+                out = out + _cnormal(rng) * zj * zk
+        return out
+
+    def trig():
+        """Radius-independent trigonometric polynomial on the tensor grid."""
+        ring = np.sum(_cnormal(rng, len(chars))[:, None] * chars, axis=0)
+        return np.tile(ring, (q.n_rad, 1))
 
     def toep(phi):
         return bergman.toeplitz_matrix(phi, q, cutoff).entries
@@ -141,7 +141,7 @@ def bergman_suite(seed: int = 0) -> list[dict]:
         return np.max(np.abs(proj.coeffs - c))
 
     def linearity_error():
-        phi, psi = _random_symbol_samples(rng, q), _random_symbol_samples(rng, q)
+        phi, psi = symbol(), symbol()
         x, y = _cnormal(rng), _cnormal(rng)
         return np.max(np.abs(toep(x * phi + y * psi) - (x * toep(phi) + y * toep(psi))))
 
@@ -156,7 +156,7 @@ def bergman_suite(seed: int = 0) -> list[dict]:
 
     def conv_pair(p):
         rep = bergman.check_convolution_submultiplicative(
-            _random_trig_grid(rng, q), _random_trig_grid(rng, q), p, q)
+            trig(), trig(), p, q)
         return rep["lhs"], rep["rhs"]
 
     out = [_max_error("projection fixes holomorphic polynomials",
@@ -167,7 +167,7 @@ def bergman_suite(seed: int = 0) -> list[dict]:
          for k in range(1, 9)), 1e-9))
     out.append(_max_error("Toeplitz linearity",
                           [linearity_error() for _ in range(5)], 1e-10))
-    phis = [_random_symbol_samples(rng, q) for _ in range(5)]
+    phis = [symbol() for _ in range(5)]
     out.append(_max_error("Toeplitz adjoint", (
         np.max(np.abs(toep(np.conj(phi)) - toep(phi).conj().T)) for phi in phis), 1e-10))
 
@@ -184,7 +184,7 @@ def bergman_suite(seed: int = 0) -> list[dict]:
         block_error(np.conj(f(z)), g(z), np.conj(f(z)) * g(z), f.degree + g.degree)
         for f, g in pairs), 1e-9))
 
-    p1 = bergman.bergman_project(_random_symbol_samples(rng, q), q, cutoff)
+    p1 = bergman.bergman_project(symbol(), q, cutoff)
     p2 = bergman.bergman_project(p1(z), q, cutoff)
     out.append(_max_error("projection idempotence",
                           [np.max(np.abs(p1.coeffs - p2.coeffs))], 1e-9))

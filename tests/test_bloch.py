@@ -84,6 +84,74 @@ class TestStencilPolish:
             assert rep.seminorm == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
+def _full_grid_best(f_prime, alpha, r, theta):
+    """Reference for bloch._best_on: the largest (1-|z|^2)^alpha |f'(z)| over
+    every point of the polar grid, with f' evaluated by Horner."""
+    z = r[:, None] * np.exp(1j * theta)[None, :]
+    vals = (1.0 - np.abs(z) ** 2) ** alpha * np.abs(f_prime(z))
+    return float(vals.max())
+
+
+def _ring_loop_little_bloch(f, radii):
+    """Reference for bloch.little_bloch_test: one Horner ring per radius."""
+    ring = np.exp(1j * 2.0 * np.pi * np.arange(256) / 256)
+    fp = f.derivative()
+    maxima = np.array([np.max((1.0 - r ** 2) * np.abs(fp(r * ring))) for r in radii])
+    tail = maxima[len(maxima) // 2:]
+    return bool(maxima[-1] < 1e-3 and np.all(np.diff(tail) <= 1e-12))
+
+
+class TestMatrixProductEvaluator:
+    """Each grid level is one product of radial powers by angular characters;
+    checked against the full-grid formula evaluated point by point."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
+    def test_matches_full_grid_formula(self, n):
+        rng = np.random.default_rng(n)
+        r = np.linspace(0.0, 1.0, n, endpoint=False)
+        theta = 2.0 * np.pi * np.arange(n) / n
+        for deg in range(1, 9):
+            f = HoloPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            fp = f.derivative()
+            for alpha in (0.5, 1.0, 1.5, 2.0):
+                value, z, r0, t0 = bloch._best_on(fp, alpha, r, theta)
+                assert value == pytest.approx(_full_grid_best(fp, alpha, r, theta),
+                                              rel=1e-14, abs=0.0)
+                attained = (1.0 - abs(z) ** 2) ** alpha * abs(fp(z))
+                assert value == pytest.approx(attained, rel=1e-14, abs=0.0)
+                assert z == r0 * np.exp(1j * t0)
+
+    @pytest.mark.parametrize("n, alpha", [(2, 1.0), (3, 0.5), (5, 2.0), (8, 1.5)])
+    def test_monomial_argmax_radius(self, n, alpha):
+        # |(c z^n)'| (1-r^2)^alpha = n|c| r^(n-1) (1-r^2)^alpha peaks at
+        # r^2 = (n-1) / (n-1+2 alpha), on a whole circle
+        c = 0.8 - 1.1j
+        coeffs = np.zeros(n + 1, dtype=complex)
+        coeffs[n] = c
+        rep = bloch.bloch_seminorm(HoloPoly(coeffs), alpha)
+        r_star = np.sqrt((n - 1) / (n - 1 + 2.0 * alpha))
+        assert abs(rep.argmax_z) == pytest.approx(r_star, abs=1e-6)
+        peak = n * abs(c) * r_star ** (n - 1) * (1.0 - r_star ** 2) ** alpha
+        assert rep.seminorm == pytest.approx(peak, rel=1e-12)
+
+    def test_little_bloch_matches_ring_loop(self):
+        rng = np.random.default_rng(11)
+        cases = [
+            (HoloPoly([1, 2, 3]),
+             np.concatenate([np.linspace(0.1, 0.9, 9), [0.99, 0.999, 0.99999]])),
+            (HoloPoly([7.0]), np.array([0.5, 0.9, 0.99, 0.999])),
+            (HoloPoly([1, 2, 1]), np.array([0.5, 0.9, 0.99, 0.999, 0.9999])),
+        ]
+        for _ in range(5):
+            deg = int(rng.integers(1, 9))
+            f = HoloPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+            cases.append((f, np.sort(rng.uniform(0.0, 0.9999, 8))))
+            cases.append((f, np.array([0.5, 0.9, 0.99, 0.999, 0.9999])))
+        results = [bloch.little_bloch_test(f, radii) for f, radii in cases]
+        assert results == [_ring_loop_little_bloch(f, radii) for f, radii in cases]
+        assert any(results) and not all(results)
+
+
 class TestMobius:
     def test_swaps_zero_and_a(self):
         a = 0.4 - 0.3j

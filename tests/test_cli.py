@@ -362,6 +362,12 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}: expected a finite number" in err
 
+    @pytest.mark.parametrize("m", ["-4", "0", "3"])
+    def test_bad_boundary_grid_size_names_m_exit_2(self, m, capsys):
+        assert run(["hardy", "disc-membership", "--symbol", "z", "--m", m]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: grid size must be a power of two, got {m}\n"
+
     @pytest.mark.parametrize("grid", [["--n-rad", "200000"], ["--n-ang", "3000000000"]],
                              ids=["n-rad", "n-ang"])
     def test_refused_allocation_exit_2(self, grid):

@@ -47,6 +47,29 @@ class TestHoloPoly:
         np.testing.assert_allclose((f + g)(z), f(z) + g(z), rtol=1e-12)
         np.testing.assert_allclose((f * g)(z), f(z) * g(z), rtol=1e-12)
 
+    @staticmethod
+    def reference_horner(coeffs, z):
+        """Horner with a fresh array per step, acc * z + c."""
+        z = np.asarray(z, dtype=complex)
+        acc = np.full(z.shape, coeffs[-1], dtype=complex)
+        for c in coeffs[-2::-1]:
+            acc = acc * z + c
+        return acc
+
+    def test_in_place_horner_matches_reference(self):
+        rng = np.random.default_rng(3)
+        for deg in range(0, 9):
+            coeffs = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+            f = HoloPoly(coeffs)
+            for shape in [(2,), (17,), (3, 5), (40, 128)]:
+                z = 0.9 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+                assert np.array_equal(f(z), self.reference_horner(coeffs, z))
+            for z in [0.0, 0.3 - 0.7j, -0.99, 1j]:
+                value = f(z)
+                assert type(value) is complex
+                ref = complex(self.reference_horner(coeffs, z))
+                assert abs(value - ref) <= 1e-15 * abs(ref)
+
 
 class TestDiscQuadrature:
     def test_probability_mass(self):
