@@ -417,6 +417,9 @@ def main(argv=None) -> int:
     except (liefields.FieldError, NonFiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    except gelfand.NotGelfandPairError as exc:
+        print(f"property violated: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, KeyError, ValueError, OSError, json.JSONDecodeError,
             MemoryError) as exc:    # MemoryError: numpy refused an array the options asked for
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Chebyshev, Polynomial
 
 
@@ -31,13 +32,15 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti ** 2))
-    return out
+def _bump(t2) -> np.ndarray:
+    """exp(-1/(1 - t^2)) for |t| < 1 and 0 elsewhere (NaN and +-inf included),
+    computed from t2 = t^2 in one new buffer: 1 - t^2 is clipped below at 0,
+    and exp(-1/0) = exp(-inf) = 0."""
+    s = np.subtract(1.0, t2, out=np.empty(np.shape(t2)))
+    np.fmax(s, 0.0, out=s)                  # fmax also maps NaN to 0
+    with np.errstate(divide="ignore"):
+        np.divide(-1.0, s, out=s)
+    return np.exp(s, out=s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +76,8 @@ class Mollifier:
         return hash((self.q, self.correction.tobytes()))
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        c = np.polynomial.polynomial.polyval(t ** 2, self.correction)
-        return _bump(t) * c
+        t2 = np.asarray(t, dtype=float) ** 2
+        return _bump(t2) * np.polynomial.polynomial.polyval(t2, self.correction)
 
     @property
     def sup(self) -> float:
@@ -155,7 +157,7 @@ def build_mollifier(q: int) -> Mollifier:
     n = q // 2 + 1
     nodes, weights = _gauss_legendre()
     base_even_moments = np.array([
-        float(np.sum(weights * nodes ** (2 * m) * _bump(nodes)))
+        float(np.sum(weights * nodes ** (2 * m) * _bump(nodes ** 2)))
         for m in range(2 * n)
     ])
     system = np.array([[base_even_moments[a + j] for j in range(n)] for a in range(n)])
@@ -166,8 +168,9 @@ def build_mollifier(q: int) -> Mollifier:
         raise ValueError("moment system is numerically singular")
     correction = np.linalg.solve(system, rhs)
     grid = np.linspace(-1.0, 1.0, 4001)
-    c = np.polynomial.polynomial.polyval(grid ** 2, correction)
-    return Mollifier(q=q, correction=correction, grid=grid, samples=_bump(grid) * c)
+    grid2 = grid ** 2
+    c = np.polynomial.polynomial.polyval(grid2, correction)
+    return Mollifier(q=q, correction=correction, grid=grid, samples=_bump(grid2) * c)
 
 
 def mollifier_moment(m: Mollifier, a: int) -> float:
@@ -338,9 +341,13 @@ def l1_embedding_bound(f, m: Mollifier, eps: float, k_grid=None,
     # ends; the extra points lie outside the support, where phi is exactly 0
     lo = np.searchsorted(u, k_grid - eps)
     width = int(np.max(np.searchsorted(u, k_grid + eps, side="right") - lo))
-    window = np.minimum(lo, n_fine - width)[:, None] + np.arange(width)
-    kernel = m((k_grid[:, None] - u[window]) / eps) / eps
-    sup_value = float(np.max(np.abs(np.einsum("ij,ij->i", kernel, fu[window]) * du)))
+    start = np.minimum(lo, n_fine - width)
+    x = k_grid[:, None] - sliding_window_view(u, width)[start]
+    x /= eps
+    kernel = m(x)
+    kernel /= eps
+    sums = np.einsum("ij,ij->i", kernel, sliding_window_view(fu, width)[start])
+    sup_value = float(np.max(np.abs(sums * du)))
     c = m.sup / eps
     bound = c * l1_norm
     return {"sup_value": sup_value, "l1_norm": l1_norm, "c": c,

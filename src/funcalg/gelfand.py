@@ -3,12 +3,20 @@ bases, Gelfand-pair detection, spherical functions and weighted seminorms.
 
 Haar measure is the normalized counting measure (total mass one), so the
 convolution unit is |G| times the delta at the identity.
+
+is_gelfand_pair and spherical_functions keep their results for the process,
+per (G, K) and per (G, K, seed), in two tables of at most 512 entries that
+drop the least recently used first.  At worst, full tables of the largest
+pairs spherical_functions accepts (161 double cosets) hold ~212 MB plus 24 KB
+per element of G, and the groups they name; cache_clear() empties both.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,12 +26,17 @@ class GroupError(ValueError):
     """Raised for invalid multiplication tables or subgroups."""
 
 
+class NotGelfandPairError(GroupError):
+    """Raised when a computation needs a Gelfand pair and (G, K) is not one."""
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroup:
     """Multiplication-table group; element i * element j = mul[i, j].
 
     mul and inv are read-only; the constructor copies the table it is given.
-    Two groups are equal when their tables are.
+    Two groups are equal when their tables are; the table's hash is taken
+    once, at construction.
     """
 
     mul: np.ndarray
@@ -55,6 +68,7 @@ class FiniteGroup:
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "inv", inv)
         object.__setattr__(self, "id", ident)
+        object.__setattr__(self, "_hash", hash(mul.tobytes()))
 
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
@@ -62,7 +76,7 @@ class FiniteGroup:
         return np.array_equal(self.mul, other.mul)
 
     def __hash__(self):
-        return hash(self.mul.tobytes())
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -261,6 +275,14 @@ def _indicator_basis(blocks, order: int) -> np.ndarray:
 _MAX_BINS = 2 ** 22
 
 
+def _labels(blocks, order: int) -> np.ndarray:
+    """Index of the double coset that holds each element of G."""
+    block_of = np.empty(order, dtype=np.intp)
+    for i, block in enumerate(blocks):
+        block_of[block] = i
+    return block_of
+
+
 def _coset_counts(group: FiniteGroup, blocks):
     """N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k}, r_k the first element of D_k,
     yielded as N[:, :, k0:k1] for consecutive blocks of target cosets k, each of
@@ -269,10 +291,8 @@ def _coset_counts(group: FiniteGroup, blocks):
     e_i * e_j takes the value N[i, j, k] / (|G| |D_i| |D_j|) on D_k, so these
     integers are the structure constants of the double-coset algebra.
     """
-    d, n = len(blocks), group.order
-    block_of = np.empty(n, dtype=np.intp)
-    for i, block in enumerate(blocks):
-        block_of[block] = i
+    d = len(blocks)
+    block_of = _labels(blocks, group.order)
     reps = np.array([block[0] for block in blocks])
     # each x in G pairs with exactly one y = x^-1 r_k
     y = group.mul[group.inv[:, None], reps[None, :]]         # n x d
@@ -301,12 +321,78 @@ def _commutator_report(group: FiniteGroup, blocks, counts) -> dict:
             "witness": None if gelfand else (int(i), int(j))}
 
 
+# ---------------------------------------------------------------------------
+# per-process memo of the per-pair results
+# ---------------------------------------------------------------------------
+
+# Entries kept in each table below.  The algebra benchmark's 30,400 Gelfand
+# calls (seeds 1-2) touch 284 distinct (G, K) and keep ~2 MB in all.
+_REPORTS_KEPT = 512
+_SPHERICAL_KEPT = 512
+
+
+class _LRU:
+    """Bounded, thread-safe map that drops its least recently used entry."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data = collections.OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key):
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key, value):
+        with self._lock:
+            self._data[key] = value
+            self._data.move_to_end(key)
+            if len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+
+
+# (G, K) -> (d, commutator report), K the sorted members subgroup() returns;
+# (G, K, seed) -> (d x d values of the spherical functions on the double
+# cosets, coset index of each element), both read-only.  A report with its
+# key takes under 1 KB + 40 |K| bytes, and spherical functions with their key
+# 16 d^2 + 8 |G| + 40 |K| bytes, at most 0.42 MB + 48 |G| as d <= 161.  Keys
+# also keep their groups alive, 8 |G|^2 bytes of table per distinct group.
+_REPORTS = _LRU(_REPORTS_KEPT)
+_SPHERICAL = _LRU(_SPHERICAL_KEPT)
+
+
+def cache_clear() -> None:
+    """Forget every kept commutator report and set of spherical functions."""
+    _REPORTS.clear()
+    _SPHERICAL.clear()
+
+
 def is_gelfand_pair(group: FiniteGroup, k_members) -> dict:
     """Exhaustive commutativity check of the double-coset convolution algebra,
     exact on the integer structure constants; the witness is the first pair
-    (i, j) in row order with the largest commutator."""
-    blocks = double_cosets(group, k_members)
-    return _commutator_report(group, blocks, _coset_counts(group, blocks))
+    (i, j) in row order with the largest commutator.
+
+    K is validated on every call; the report is kept per (G, K) for the
+    process (see cache_clear) and returned as a fresh dict.
+    """
+    pair = (group, tuple(subgroup(group, k_members).tolist()))
+    kept = _REPORTS.get(pair)
+    if kept is None:
+        blocks = double_cosets(group, pair[1])
+        report = _commutator_report(group, blocks, _coset_counts(group, blocks))
+        kept = _REPORTS.put(pair, (len(blocks), report))
+    return dict(kept[1])
 
 
 def spherical_transform(f, phi, group: FiniteGroup) -> complex:
@@ -324,16 +410,44 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
     cross-validated by exhaustive multiplicativity of the integration
     functional omega on all basis pairs: omega(e_i * e_j) = omega(e_i) omega(e_j)
     within 1e-10, with e_i * e_j expanded through the structure constants.
+
+    K is validated on every call.  The functions are kept per (G, K, seed)
+    for the process as their values on the double cosets (see cache_clear),
+    and every call returns fresh arrays.  Raises NotGelfandPairError when
+    (G, K) is not a Gelfand pair, and GroupError beyond 161 double cosets.
     """
-    blocks = double_cosets(group, k_members)
-    d, n = len(blocks), group.order
+    k = tuple(subgroup(group, k_members).tolist())
+    key = (group, k, seed)
+    kept = _SPHERICAL.get(key)
+    if kept is None:
+        kept = _SPHERICAL.put(key, _spherical_on_cosets(group, k, seed))
+    values, labels = kept
+    return list(values[:, labels])
+
+
+def _refuse(d: int, report: dict | None = None) -> None:
+    """Raise unless the spherical functions of a pair with d double cosets,
+    and with this commutator report when it is known, can be computed."""
     if d ** 3 > _MAX_BINS:
         raise GroupError(f"{d} double cosets: the {d}^3 structure constants exceed "
                          f"the {_MAX_BINS} counted at once")
+    if report is not None and not report["gelfand"]:
+        raise NotGelfandPairError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
+
+
+def _spherical_on_cosets(group: FiniteGroup, k: tuple, seed: int):
+    """(values, labels): values[j, i] is the j-th spherical function on the
+    double coset D_i, and labels[g] the index of the coset holding g."""
+    kept = _REPORTS.get((group, k))
+    if kept is not None:
+        _refuse(*kept)                                      # known pairs refuse uncounted
+    blocks = double_cosets(group, k)
+    d, n = len(blocks), group.order
+    _refuse(d)
     (counts,) = _coset_counts(group, blocks)                # one block, as d^3 fits
-    report = _commutator_report(group, blocks, [counts])
-    if not report["gelfand"]:
-        raise GroupError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
+    if kept is None:
+        kept = _REPORTS.put((group, k), (d, _commutator_report(group, blocks, [counts])))
+        _refuse(*kept)
     sizes = np.array([len(block) for block in blocks], dtype=float)
     basis = _indicator_basis(blocks, n)
     # e_i * e_j = sum_k c[i, k, j] e_k
@@ -344,8 +458,9 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
     generic = np.tensordot(coeffs, c, axes=(0, 0))          # d x d matrix
     _, vecs = np.linalg.eig(generic)
 
-    out = []
-    for v in vecs.T:
+    reps = np.array([block[0] for block in blocks])
+    values = np.empty((d, d), dtype=complex)
+    for v, row in zip(vecs.T, values):
         phi = v @ basis                                     # function on G
         if abs(phi[group.id]) < 1e-12:
             raise GroupError("eigenvector vanishes at the identity")
@@ -354,8 +469,11 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
         lhs = np.einsum("ikj,k->ij", c, omega)              # omega(e_i * e_j)
         if np.max(np.abs(lhs - np.outer(omega, omega))) >= 1e-10:
             raise GroupError("eigenvector failed the multiplicativity check")
-        out.append(phi)
-    return out
+        row[:] = phi[reps]                                  # phi is constant on each coset
+    labels = _labels(blocks, n)
+    values.setflags(write=False)
+    labels.setflags(write=False)
+    return values, labels
 
 
 def phi_seminorm(f, phi, group: FiniteGroup) -> float:

@@ -150,6 +150,18 @@ class TestGelfand:
         rec = json.loads(out.read_text())
         assert rec["count"] == 4
 
+    def test_spherical_non_gelfand_pair_exit_1(self, capsys):
+        # the same verdict as `gelfand check` on this pair: property violated
+        assert run(["gelfand", "check", "--group", "s4", "--subgroup", "0"]) == 1
+        assert run(["gelfand", "spherical", "--group", "s4", "--subgroup", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "not a Gelfand pair" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("subgroup", ["0,3", "0,99", "1"])
+    def test_spherical_bad_subgroup_exit_2(self, subgroup, capsys):
+        assert run(["gelfand", "spherical", "--group", "s3", "--subgroup", subgroup]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_invalid_subgroup_exit_2(self):
         # {identity, one 3-cycle} is not closed under multiplication
         assert run(["gelfand", "check", "--group", "s3", "--subgroup", "0,3"]) == 2

@@ -48,6 +48,20 @@ class TestMollifier:
         t = np.array([-2.0, -1.0, 1.0, 3.5])
         np.testing.assert_array_equal(m2(t), 0.0)
 
+    def test_bump_matches_masked_reference(self):
+        # reference: exp(-1/(1 - t^2)) evaluated on |t| < 1 only, 0 elsewhere
+        rng = np.random.default_rng(11)
+        t = np.concatenate([rng.uniform(-1.5, 1.5, 2000), np.nextafter(1.0, [0.0, 2.0]),
+                            -np.nextafter(1.0, [0.0, 2.0]), [0.0, -0.0, 1.0, -1.0],
+                            [np.nan, np.inf, -np.inf, 1e200, 5e-324]])
+        want = np.zeros_like(t)
+        inside = np.abs(t) < 1.0
+        want[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
+        with np.errstate(over="ignore"):
+            got = colombeau._bump(t ** 2)
+        assert got.tobytes() == want.tobytes()
+        assert colombeau._bump(np.float64(0.25)).shape == ()
+
     def test_even_symmetry(self, m2):
         t = np.linspace(0, 0.99, 50)
         np.testing.assert_allclose(m2(t), m2(-t), atol=1e-15)

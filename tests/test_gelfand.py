@@ -426,6 +426,7 @@ class TestCosetCountBlocks:
             group = gelfand.GROUP_LIBRARY[name]()
             blocks = gelfand.double_cosets(group, pick(group))
             (full,) = gelfand._coset_counts(group, blocks)
+            gelfand.cache_clear()
             report = gelfand.is_gelfand_pair(group, pick(group))
             monkeypatch.setattr(gelfand, "_MAX_BINS", cap)
             parts = list(gelfand._coset_counts(group, blocks))
@@ -433,6 +434,7 @@ class TestCosetCountBlocks:
             assert all(part.size <= max(cap, d * d) for part in parts)
             assert len(parts) == -(-d // max(1, cap // d ** 2))
             assert np.array_equal(np.concatenate(parts, axis=2), full)
+            gelfand.cache_clear()                # recount under the cap
             assert gelfand.is_gelfand_pair(group, pick(group)) == report
             monkeypatch.undo()
 
@@ -445,6 +447,7 @@ class TestCosetCountBlocks:
         # non-commuting pair, here the permutations 1 = (4 5) and 2 = (3 4)
         s6 = gelfand.symmetric(6)
         assert s6.mul[1, 2] != s6.mul[2, 1]
+        gelfand.cache_clear()                    # count, rather than read a kept report
         tracemalloc.start()
         try:
             rep = gelfand.is_gelfand_pair(s6, [s6.id])
@@ -464,6 +467,121 @@ class TestCosetCountBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+def _as_bytes(functions):
+    return [(phi.real.tobytes(), phi.imag.tobytes()) for phi in functions]
+
+
+class TestPairMemo:
+    """Reports and spherical functions kept per pair: the same results,
+    fresh objects, and structure constants counted once."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        gelfand.cache_clear()
+        yield
+        gelfand.cache_clear()
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except gelfand.GroupError as exc:
+            return type(exc), str(exc)
+
+    def test_hits_equal_fresh_computations(self):
+        pairs = [(name, build(), k) for name, build in gelfand.GROUP_LIBRARY.items()
+                 for k in _cyclic_subgroups(build())]
+        assert len(pairs) > 50
+        for name, group, k in pairs:
+            reversed_k = k[::-1]                 # the same K, listed otherwise
+
+            def spherical(seed):
+                out = self._outcome(lambda: gelfand.spherical_functions(group, reversed_k,
+                                                                        seed=seed))
+                return _as_bytes(out) if isinstance(out, list) else out
+
+            first = [self._outcome(lambda: gelfand.is_gelfand_pair(group, k)),
+                     spherical(0), spherical(3)]
+            hits = [self._outcome(lambda: gelfand.is_gelfand_pair(group, reversed_k)),
+                    spherical(0), spherical(3)]
+            gelfand.cache_clear()
+            fresh = [spherical(3), spherical(0),
+                     self._outcome(lambda: gelfand.is_gelfand_pair(group, k))][::-1]
+            assert hits == first == fresh, (name, k)
+
+    def test_non_gelfand_pair_raises_on_every_call(self):
+        q8 = gelfand.quaternion()
+        for _ in range(3):
+            with pytest.raises(gelfand.NotGelfandPairError, match="witness"):
+                gelfand.spherical_functions(q8, [q8.id])
+        assert issubclass(gelfand.NotGelfandPairError, gelfand.GroupError)
+
+    def test_results_are_fresh_objects(self, s3):
+        k = [s3.id, first_transposition(s3)]
+        q8 = gelfand.quaternion()
+        report = gelfand.is_gelfand_pair(q8, [q8.id])
+        want = dict(report)
+        report["gelfand"] = True
+        report["witness"] = None
+        assert gelfand.is_gelfand_pair(q8, [q8.id]) == want
+        sph = gelfand.spherical_functions(s3, k)
+        want = _as_bytes(sph)
+        for phi in sph:
+            phi[:] = 0.0
+        sph.clear()
+        assert _as_bytes(gelfand.spherical_functions(s3, k)) == want
+
+    def test_counts_once_per_pair_and_seed(self, monkeypatch):
+        calls = []
+        count = gelfand._coset_counts
+
+        def counting(group, blocks):
+            calls.append(len(blocks))
+            return count(group, blocks)
+
+        monkeypatch.setattr(gelfand, "_coset_counts", counting)
+        s4 = gelfand.symmetric(4)
+        k = _fixing(4, lambda p: p[3] == 3)
+        for _ in range(3):
+            gelfand.spherical_functions(s4, k)
+            gelfand.is_gelfand_pair(s4, k)
+        assert len(calls) == 1                   # the report came from the same count
+        for _ in range(3):
+            gelfand.spherical_functions(s4, k, seed=1)
+            gelfand.spherical_functions(s4, k, seed=2)
+        assert len(calls) == 3                   # one count per new seed
+        q8 = gelfand.quaternion()
+        gelfand.is_gelfand_pair(q8, [q8.id])
+        for _ in range(3):
+            with pytest.raises(gelfand.NotGelfandPairError):
+                gelfand.spherical_functions(q8, [q8.id], seed=5)
+        assert len(calls) == 4                   # refused from the kept report
+
+    def test_size_refusal_comes_before_a_kept_verdict(self, monkeypatch):
+        q8 = gelfand.quaternion()
+        assert not gelfand.is_gelfand_pair(q8, [q8.id])["gelfand"]
+        monkeypatch.setattr(gelfand, "_MAX_BINS", 7 ** 3)
+        with pytest.raises(gelfand.GroupError, match="8 double cosets"):
+            gelfand.spherical_functions(q8, [q8.id])
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(gelfand._REPORTS, "maxsize", 3)
+        monkeypatch.setattr(gelfand._SPHERICAL, "maxsize", 2)
+        z8 = gelfand.cyclic(8)
+        for k in ([0], [0, 4], [0, 2, 4, 6], list(range(8))):
+            gelfand.is_gelfand_pair(z8, k)
+            gelfand.spherical_functions(z8, k)
+        assert len(gelfand._REPORTS) == 3
+        assert len(gelfand._SPHERICAL) == 2
+        assert gelfand._REPORTS.get((z8, (0,))) is None          # the oldest went first
+        assert gelfand._REPORTS.get((z8, (0, 4))) is not None
+        assert gelfand.is_gelfand_pair(z8, [0])["gelfand"]
+
+    def test_hash_kept_from_construction(self):
+        s5 = gelfand.symmetric(5)
+        assert hash(s5) == hash(s5.mul.tobytes()) == hash(gelfand.FiniteGroup(s5.mul))
 
 
 class TestSphericalFunctions:
