@@ -43,3 +43,11 @@ for _ in range(200):
     rhs = gelfand.phi_seminorm(f1, phi, s3) * gelfand.phi_seminorm(f2, phi, s3)
     worst = max(worst, lhs - rhs)
 print(f"worst gap lhs - rhs over 200 random pairs: {worst:.3e}  (<= 0 means holds)")
+
+print("\n=== word-length weight on Z8: exp(5 |g|), |g| = min(g, 8 - g) ===")
+z8 = gelfand.cyclic(8)
+g = np.arange(8)
+phi = np.exp(5.0 * np.minimum(g, 8 - g))
+f = rng.standard_normal(8)
+print(f"accepted as submultiplicative; seminorm of a random f: {gelfand.phi_seminorm(f, phi, z8):.6e}")
+print("(the slack is relative: exp(5) * exp(5) rounds below exp(10) in floating point)")

@@ -6,9 +6,9 @@ convolution unit is |G| times the delta at the identity.
 
 is_gelfand_pair and spherical_functions keep their results for the process,
 per (G, K) and per (G, K, seed), in two tables of at most 512 entries that
-drop the least recently used first.  At worst, full tables of the largest
-pairs spherical_functions accepts (161 double cosets) hold ~212 MB plus 24 KB
-per element of G, and the groups they name; cache_clear() empties both.
+drop the least recently used first.  At worst an entry holds
+16 d^2 + 8 |G| + 40 |K| bytes, d <= |G| the number of double cosets, and
+keeps the group it names alive; cache_clear() empties both.
 """
 
 from __future__ import annotations
@@ -208,10 +208,16 @@ def load_group_table(path) -> FiniteGroup:
         tokens = fh.read().split()
     if not tokens:
         raise GroupError(f"{path}: empty group table")
-    n = int(tokens[0])
-    vals = list(map(int, tokens[1:]))
+    try:
+        n, *vals = map(int, tokens)
+    except ValueError:
+        raise GroupError(f"{path}: group table holds a token that is not an integer") from None
+    if n < 1:
+        raise GroupError(f"{path}: group order must be at least 1, got {n}")
     if len(vals) != n * n:
-        raise GroupError(f"expected {n * n} table entries, got {len(vals)}")
+        raise GroupError(f"{path}: expected {n * n} table entries, got {len(vals)}")
+    if min(vals) < 0 or max(vals) >= n:
+        raise GroupError(f"{path}: table entries must lie in 0..{n - 1}")
     return FiniteGroup(np.array(vals, dtype=int).reshape(n, n))
 
 
@@ -261,18 +267,11 @@ def double_cosets(group: FiniteGroup, k_members) -> list[np.ndarray]:
 
 def coset_basis(group: FiniteGroup, k_members) -> np.ndarray:
     """Stacked indicator functions of the double cosets, normalized by size."""
-    return _indicator_basis(double_cosets(group, k_members), group.order)
-
-
-def _indicator_basis(blocks, order: int) -> np.ndarray:
-    basis = np.zeros((len(blocks), order), dtype=complex)
+    blocks = double_cosets(group, k_members)
+    basis = np.zeros((len(blocks), group.order), dtype=complex)
     for i, block in enumerate(blocks):
         basis[i, block] = 1.0 / len(block)
     return basis
-
-
-# int64 bins of structure constants counted at once (32 MB); d^3 fits for d <= 161
-_MAX_BINS = 2 ** 22
 
 
 def _labels(blocks, order: int) -> np.ndarray:
@@ -284,41 +283,41 @@ def _labels(blocks, order: int) -> np.ndarray:
 
 
 def _coset_counts(group: FiniteGroup, blocks):
-    """N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k}, r_k the first element of D_k,
-    yielded as N[:, :, k0:k1] for consecutive blocks of target cosets k, each of
-    at most _MAX_BINS entries (and at least one k).
+    """(codes, counts): the nonzero N[i, j, k] = #{(x, y) in D_i x D_j : x y = r_k},
+    r_k the first element of D_k, under the sorted codes (i d + j) d + k.
 
     e_i * e_j takes the value N[i, j, k] / (|G| |D_i| |D_j|) on D_k, so these
-    integers are the structure constants of the double-coset algebra.
+    integers are the structure constants of the double-coset algebra.  At most
+    |G| d are nonzero, as each x in G pairs with exactly one y = x^-1 r_k.
     """
     d = len(blocks)
     block_of = _labels(blocks, group.order)
     reps = np.array([block[0] for block in blocks])
-    # each x in G pairs with exactly one y = x^-1 r_k
     y = group.mul[group.inv[:, None], reps[None, :]]         # n x d
-    pair = block_of[:, None] * d + block_of[y]               # i d + j for (x, y)
-    width = max(1, _MAX_BINS // d ** 2)
-    for k0 in range(0, d, width):
-        w = min(width, d - k0)
-        idx = pair[:, k0:k0 + w] * w + np.arange(w)
-        yield np.bincount(idx.ravel(), minlength=d * d * w).reshape(d, d, w)
+    codes = ((block_of[:, None] * d + block_of[y]) * d + np.arange(d)).ravel()
+    codes.sort()
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts], np.diff(starts, append=codes.size)
 
 
-def _commutator_report(group: FiniteGroup, blocks, counts) -> dict:
-    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from exact counts
-    given as blocks of target cosets."""
+def _commutator_report(group: FiniteGroup, blocks, table) -> dict:
+    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from the
+    sparse table of exact counts."""
+    codes, counts = table
     d = len(blocks)
-    gap = np.zeros((d, d), dtype=np.int64)                  # max over k of |N_ijk - N_jik|
-    for part in counts:
-        np.maximum(gap, np.abs(part - part.transpose(1, 0, 2)).max(axis=2), out=gap)
+    ij, k = np.divmod(codes, d)
+    i, j = np.divmod(ij, d)
+    swapped = (j * d + i) * d + k                           # the code of N_jik
+    at = np.minimum(np.searchsorted(codes, swapped), codes.size - 1)
+    gap = np.abs(counts - np.where(codes[at] == swapped, counts[at], 0))
     sizes = np.array([len(block) for block in blocks], dtype=float)
-    comm = gap / (group.order * np.outer(sizes, sizes))
-    comm = np.triu(comm, 1)
-    i, j = np.unravel_index(np.argmax(comm), comm.shape)
-    worst = float(comm[i, j])
+    comm = gap / (group.order * (sizes[i] * sizes[j]))
+    worst = float(comm.max())
+    # fold (j, i) onto i < j; the witness is the first worst pair in row order
+    first = int((np.minimum(i, j) * d + np.maximum(i, j))[comm == worst].min())
     gelfand = worst == 0.0
     return {"gelfand": gelfand, "max_commutator": worst,
-            "witness": None if gelfand else (int(i), int(j))}
+            "witness": None if gelfand else divmod(first, d)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +361,12 @@ class _LRU:
             self._data.clear()
 
 
-# (G, K) -> (d, commutator report), K the sorted members subgroup() returns;
+# (G, K) -> commutator report, K the sorted members subgroup() returns;
 # (G, K, seed) -> (d x d values of the spherical functions on the double
 # cosets, coset index of each element), both read-only.  A report with its
 # key takes under 1 KB + 40 |K| bytes, and spherical functions with their key
-# 16 d^2 + 8 |G| + 40 |K| bytes, at most 0.42 MB + 48 |G| as d <= 161.  Keys
-# also keep their groups alive, 8 |G|^2 bytes of table per distinct group.
+# 16 d^2 + 8 |G| + 40 |K| bytes, d <= |G|.  Keys also keep their groups
+# alive, 8 |G|^2 bytes of table per distinct group.
 _REPORTS = _LRU(_REPORTS_KEPT)
 _SPHERICAL = _LRU(_SPHERICAL_KEPT)
 
@@ -387,12 +386,12 @@ def is_gelfand_pair(group: FiniteGroup, k_members) -> dict:
     process (see cache_clear) and returned as a fresh dict.
     """
     pair = (group, tuple(subgroup(group, k_members).tolist()))
-    kept = _REPORTS.get(pair)
-    if kept is None:
+    report = _REPORTS.get(pair)
+    if report is None:
         blocks = double_cosets(group, pair[1])
-        report = _commutator_report(group, blocks, _coset_counts(group, blocks))
-        kept = _REPORTS.put(pair, (len(blocks), report))
-    return dict(kept[1])
+        report = _REPORTS.put(pair, _commutator_report(group, blocks,
+                                                       _coset_counts(group, blocks)))
+    return dict(report)
 
 
 def spherical_transform(f, phi, group: FiniteGroup) -> complex:
@@ -414,7 +413,7 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
     K is validated on every call.  The functions are kept per (G, K, seed)
     for the process as their values on the double cosets (see cache_clear),
     and every call returns fresh arrays.  Raises NotGelfandPairError when
-    (G, K) is not a Gelfand pair, and GroupError beyond 161 double cosets.
+    (G, K) is not a Gelfand pair.
     """
     k = tuple(subgroup(group, k_members).tolist())
     key = (group, k, seed)
@@ -425,12 +424,8 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
     return list(values[:, labels])
 
 
-def _refuse(d: int, report: dict | None = None) -> None:
-    """Raise unless the spherical functions of a pair with d double cosets,
-    and with this commutator report when it is known, can be computed."""
-    if d ** 3 > _MAX_BINS:
-        raise GroupError(f"{d} double cosets: the {d}^3 structure constants exceed "
-                         f"the {_MAX_BINS} counted at once")
+def _refuse(report: dict | None) -> None:
+    """Raise when a known commutator report says (G, K) is not a Gelfand pair."""
     if report is not None and not report["gelfand"]:
         raise NotGelfandPairError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
 
@@ -438,39 +433,42 @@ def _refuse(d: int, report: dict | None = None) -> None:
 def _spherical_on_cosets(group: FiniteGroup, k: tuple, seed: int):
     """(values, labels): values[j, i] is the j-th spherical function on the
     double coset D_i, and labels[g] the index of the coset holding g."""
-    kept = _REPORTS.get((group, k))
-    if kept is not None:
-        _refuse(*kept)                                      # known pairs refuse uncounted
+    report = _REPORTS.get((group, k))
+    _refuse(report)                                         # known pairs refuse uncounted
     blocks = double_cosets(group, k)
     d, n = len(blocks), group.order
-    _refuse(d)
-    (counts,) = _coset_counts(group, blocks)                # one block, as d^3 fits
-    if kept is None:
-        kept = _REPORTS.put((group, k), (d, _commutator_report(group, blocks, [counts])))
-        _refuse(*kept)
+    table = _coset_counts(group, blocks)
+    if report is None:
+        _refuse(_REPORTS.put((group, k), _commutator_report(group, blocks, table)))
+    codes, counts = table
+    pair, kk = np.divmod(codes, d)                          # pair = i d + j
+    i, j = np.divmod(pair, d)
     sizes = np.array([len(block) for block in blocks], dtype=float)
-    basis = _indicator_basis(blocks, n)
-    # e_i * e_j = sum_k c[i, k, j] e_k
-    c = (counts * sizes / (n * np.outer(sizes, sizes)[:, :, None])).transpose(0, 2, 1)
+    # e_i * e_j = sum over the nonzeros of weight e_k
+    weight = counts * sizes[kk] / (n * (sizes[i] * sizes[j]))
+
+    def scatter(index, values):                             # d x d sums by flat index
+        return (np.bincount(index, values.real, d * d)
+                + 1j * np.bincount(index, values.imag, d * d)).reshape(d, d)
 
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    generic = np.tensordot(coeffs, c, axes=(0, 0))          # d x d matrix
+    generic = scatter(kk * d + j, coeffs[i] * weight)       # sum_i coeffs_i e_i * e_j
     _, vecs = np.linalg.eig(generic)
 
-    reps = np.array([block[0] for block in blocks])
+    labels = _labels(blocks, n)
+    unit = labels[group.id]                                 # the coset K
+    inverse = labels[group.inv[[block[0] for block in blocks]]]   # D_i^-1 = D_inverse[i]
     values = np.empty((d, d), dtype=complex)
-    for v, row in zip(vecs.T, values):
-        phi = v @ basis                                     # function on G
-        if abs(phi[group.id]) < 1e-12:
+    for v, phi in zip(vecs.T, values):
+        phi[:] = v * (1.0 / sizes)                          # the function on the cosets
+        if abs(phi[unit]) < 1e-12:
             raise GroupError("eigenvector vanishes at the identity")
-        phi = phi / phi[group.id]
-        omega = basis @ phi[group.inv] / n                  # omega(e_i)
-        lhs = np.einsum("ikj,k->ij", c, omega)              # omega(e_i * e_j)
+        phi /= phi[unit]
+        omega = phi[inverse] / n                            # omega(e_i)
+        lhs = scatter(pair, weight * omega[kk])             # omega(e_i * e_j)
         if np.max(np.abs(lhs - np.outer(omega, omega))) >= 1e-10:
             raise GroupError("eigenvector failed the multiplicativity check")
-        row[:] = phi[reps]                                  # phi is constant on each coset
-    labels = _labels(blocks, n)
     values.setflags(write=False)
     labels.setflags(write=False)
     return values, labels
@@ -482,9 +480,7 @@ def phi_seminorm(f, phi, group: FiniteGroup) -> float:
     phi = np.asarray(phi, dtype=float)
     if np.any(phi <= 0):
         raise ValueError("phi must be strictly positive")
-    prods = phi[group.mul]
-    bound = np.outer(phi, phi)
-    bad = np.argwhere(prods > bound + 1e-12)
+    bad = np.argwhere(phi[group.mul] > np.outer(phi, phi) * (1 + 1e-12))   # relative slack
     if len(bad):
         g1, g2 = bad[0]
         raise ValueError(f"phi is not submultiplicative: witness pair ({g1}, {g2})")

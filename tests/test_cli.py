@@ -407,6 +407,18 @@ class TestBadInput:
         assert run(["gelfand", "check", "--group", str(path), "--subgroup", "0"]) == 2
         assert "empty group table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["-1\n0\n", "2\n0 1\n1 x\n", "0\n", "1.5\n0\n",
+                                      "2\n0 1\n1 99999999999999999999\n"],
+                             ids=["order-minus-1", "stray-token", "order-0", "float-order",
+                                  "entry-past-int64"])
+    def test_malformed_group_table_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "group.txt"
+        path.write_text(text)
+        assert run(["gelfand", "check", "--group", str(path), "--subgroup", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("data", [
         {"dim": 2, "fields": 3},
         {"dim": 2, "fields": [[1, 2], [3, 4]]},

@@ -1,10 +1,13 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from funcalg import gelfand
+from funcalg.cli import main
+from funcalg.io import parse_complex
 
 
 @pytest.fixture(scope="module")
@@ -394,7 +397,11 @@ class TestGelfandPair:
         k = [s4.id, first_transposition(s4)]
         blocks = gelfand.double_cosets(s4, k)
         basis = gelfand.coset_basis(s4, k)
-        (counts,) = gelfand._coset_counts(s4, blocks)
+        d = len(blocks)
+        codes, nonzero = gelfand._coset_counts(s4, blocks)
+        counts = np.zeros(d ** 3, dtype=np.int64)
+        counts[codes] = nonzero
+        counts = counts.reshape(d, d, d)
         for i in range(len(blocks)):
             for j in range(len(blocks)):
                 conv = gelfand.convolve(basis[i], basis[j], s4)
@@ -413,33 +420,57 @@ class TestGelfandPair:
         assert np.max(np.abs(comm)) == pytest.approx(rep["max_commutator"], rel=1e-12)
 
 
+def _dense_counts(group, blocks):
+    """Reference N[i, j, k] from the whole table: each product x y that lands on
+    r_k, the first element of D_k, adds one to N[coset of x, coset of y, k]."""
+    d = len(blocks)
+    label = np.empty(group.order, dtype=int)
+    target = np.full(group.order, -1)
+    for i, block in enumerate(blocks):
+        label[block] = i
+        target[block[0]] = i
+    x, y = np.nonzero(target[group.mul] >= 0)
+    counts = np.zeros((d, d, d), dtype=np.int64)
+    np.add.at(counts, (label[x], label[y], target[group.mul[x, y]]), 1)
+    return counts
+
+
+def _dense_report(group, blocks, counts):
+    """Reference commutator report read off the dense d x d x d counts."""
+    gap = np.abs(counts - counts.transpose(1, 0, 2)).max(axis=2)
+    sizes = np.array([len(block) for block in blocks], dtype=float)
+    comm = np.triu(gap / (group.order * np.outer(sizes, sizes)), 1)
+    i, j = np.unravel_index(np.argmax(comm), comm.shape)
+    worst = float(comm[i, j])
+    return {"gelfand": worst == 0.0, "max_commutator": worst,
+            "witness": None if worst == 0.0 else (int(i), int(j))}
+
+
 class TestCosetCountBlocks:
-    """Structure constants counted in blocks of target cosets under a small cap."""
+    """Structure constants over the double cosets, kept as one sparse table."""
 
-    CASES = [("q8", lambda g: [g.id]), ("s4", lambda g: [g.id]),
-             ("s4", lambda g: [g.id, first_transposition(g)]),
-             ("d5", lambda g: [g.id]), ("z6", lambda g: [0, 3]), ("s3", lambda g: [g.id])]
+    def test_sparse_table_matches_dense_reference(self):
+        s5, s6 = gelfand.symmetric(5), gelfand.symmetric(6)
+        cases = [(build(), k) for build in gelfand.GROUP_LIBRARY.values()
+                 for k in _cyclic_subgroups(build())]
+        cases += [(s5, [s5.id]), (s6, _fixing(6, lambda p: p[5] == 5))]
+        for group, k in cases:
+            blocks = gelfand.double_cosets(group, k)
+            codes, counts = gelfand._coset_counts(group, blocks)
+            dense = _dense_counts(group, blocks)
+            assert np.array_equal(codes, np.flatnonzero(dense)), (group.order, k)
+            assert np.array_equal(counts, dense.ravel()[codes]), (group.order, k)
+            gelfand.cache_clear()                # count, rather than read a kept report
+            assert gelfand.is_gelfand_pair(group, k) == _dense_report(group, blocks, dense)
 
-    @pytest.mark.parametrize("cap", [1, 50, 1000])
-    def test_blocks_tile_the_full_tensor(self, cap, monkeypatch):
-        for name, pick in self.CASES:
-            group = gelfand.GROUP_LIBRARY[name]()
-            blocks = gelfand.double_cosets(group, pick(group))
-            (full,) = gelfand._coset_counts(group, blocks)
-            gelfand.cache_clear()
-            report = gelfand.is_gelfand_pair(group, pick(group))
-            monkeypatch.setattr(gelfand, "_MAX_BINS", cap)
-            parts = list(gelfand._coset_counts(group, blocks))
-            d = len(blocks)
-            assert all(part.size <= max(cap, d * d) for part in parts)
-            assert len(parts) == -(-d // max(1, cap // d ** 2))
-            assert np.array_equal(np.concatenate(parts, axis=2), full)
-            gelfand.cache_clear()                # recount under the cap
-            assert gelfand.is_gelfand_pair(group, pick(group)) == report
-            monkeypatch.undo()
-
-    def test_one_block_up_to_161_cosets(self):
-        assert 161 ** 3 <= gelfand._MAX_BINS < 162 ** 3
+    def test_s6_trivial_subgroup_closed_form(self):
+        # with K trivial, D_a = {a} and r_k = k, so N[a, b, k] = 1 when a b = k
+        # and 0 otherwise: one nonzero per pair (a, b)
+        s6 = gelfand.symmetric(6)
+        codes, counts = gelfand._coset_counts(s6, gelfand.double_cosets(s6, [s6.id]))
+        a, b = np.divmod(np.arange(720 ** 2), 720)
+        assert np.array_equal(codes, np.sort((a * 720 + b) * 720 + s6.mul[a, b]))
+        assert np.all(counts == 1)
 
     def test_s6_trivial_subgroup_in_bounded_memory(self):
         # with K trivial the double cosets are the elements, and delta_a * delta_b
@@ -457,16 +488,17 @@ class TestCosetCountBlocks:
         assert rep == {"gelfand": False, "max_commutator": 1 / 720, "witness": (1, 2)}
         assert peak < 200e6
 
-    def test_spherical_functions_refuse_before_allocating(self):
+    def test_spherical_functions_s6_trivial_subgroup_in_bounded_memory(self):
         s6 = gelfand.symmetric(6)
+        gelfand.cache_clear()                    # count, rather than read a kept report
         tracemalloc.start()
         try:
-            with pytest.raises(gelfand.GroupError, match="720 double cosets"):
+            with pytest.raises(gelfand.NotGelfandPairError, match=r"witness \(1, 2\)"):
                 gelfand.spherical_functions(s6, [s6.id])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 200e6
 
 
 def _as_bytes(functions):
@@ -558,13 +590,6 @@ class TestPairMemo:
             with pytest.raises(gelfand.NotGelfandPairError):
                 gelfand.spherical_functions(q8, [q8.id], seed=5)
         assert len(calls) == 4                   # refused from the kept report
-
-    def test_size_refusal_comes_before_a_kept_verdict(self, monkeypatch):
-        q8 = gelfand.quaternion()
-        assert not gelfand.is_gelfand_pair(q8, [q8.id])["gelfand"]
-        monkeypatch.setattr(gelfand, "_MAX_BINS", 7 ** 3)
-        with pytest.raises(gelfand.GroupError, match="8 double cosets"):
-            gelfand.spherical_functions(q8, [q8.id])
 
     def test_bounded(self, monkeypatch):
         monkeypatch.setattr(gelfand._REPORTS, "maxsize", 3)
@@ -660,6 +685,51 @@ class TestSphericalFunctions:
         assert a == b
 
 
+def _dihedral_over_reflection(n):
+    """(D_n, <s>): phi_j(r^k) = phi_j(s r^k) = cos(2 pi j k / n) for j = 0..n/2."""
+    k = np.arange(2 * n) % n
+    return gelfand.dihedral(n), [0, n], [np.cos(2 * np.pi * j * k / n) for j in range(n // 2 + 1)]
+
+
+def _cyclic_characters(n):
+    """(Z_n, 1): the characters k -> e^(2 pi i j k / n)."""
+    k = np.arange(n)
+    return gelfand.cyclic(n), [0], [np.exp(2j * np.pi * j * k / n) for j in range(n)]
+
+
+def _spherical_via_cli(group, members, tmp_path):
+    """spherical_functions as `gelfand spherical` writes them for a table file."""
+    table = tmp_path / "group.txt"
+    rows = "\n".join(" ".join(map(str, row)) for row in group.mul)
+    table.write_text(f"{group.order}\n{rows}\n")
+    out = tmp_path / "spherical.json"
+    assert main(["gelfand", "spherical", "--group", str(table),
+                 "--subgroup", ",".join(map(str, members)), "--out", str(out)]) == 0
+    return [np.array([parse_complex(v) for v in phi])
+            for phi in json.loads(out.read_text())["functions"]]
+
+
+class TestClosedFormSpherical:
+    """Spherical functions against closed forms that need no eigen-solve."""
+
+    @pytest.mark.parametrize("via", ["api", "cli"])
+    @pytest.mark.parametrize("pair, n", [*((_dihedral_over_reflection, n) for n in range(3, 13)),
+                                         (_cyclic_characters, 200)],
+                             ids=[*(f"D{n}/<s>" for n in range(3, 13)), "Z200/1"])
+    def test_matches_closed_form(self, pair, n, via, tmp_path):
+        group, members, want = pair(n)
+        if via == "api":
+            got = gelfand.spherical_functions(group, members)
+        else:
+            got = _spherical_via_cli(group, members, tmp_path)
+        assert len(got) == len(want)
+        # each computed function is within 1e-10 of a different closed form
+        dev = np.array([np.max(np.abs(phi - np.array(want)), axis=1) for phi in got])
+        best = dev.argmin(axis=1)
+        assert sorted(best) == list(range(len(want)))
+        assert dev[np.arange(len(got)), best].max() < 1e-10
+
+
 class TestPhiSeminorm:
     def test_constant_weight_is_mean(self, s3):
         f = np.arange(6, dtype=float)
@@ -682,6 +752,22 @@ class TestPhiSeminorm:
         phi[1] = 2.0
         with pytest.raises(ValueError):
             gelfand.phi_seminorm(np.ones(6), phi, s3)
+
+    @pytest.mark.parametrize("n, c", [(8, 5.0), (24, 2.0), (12, 3.3)])
+    def test_word_length_weight_accepted(self, n, c):
+        # exp(c |g|), |g| = min(g, n - g) the word length, is submultiplicative,
+        # but exp(c a) exp(c b) rounds below exp(c (a + b)) for some a, b
+        g = np.arange(n)
+        phi = np.exp(c * np.minimum(g, n - g))
+        assert gelfand.phi_seminorm(np.ones(n), phi, gelfand.cyclic(n)) == pytest.approx(
+            np.mean(phi), rel=1e-14)
+
+    def test_rejects_weight_off_by_relative_1e_6(self):
+        g = np.arange(8)
+        phi = np.exp(5.0 * np.minimum(g, 8 - g))
+        phi[2] *= 1 + 1e-6                       # phi(1 + 1) > phi(1)^2
+        with pytest.raises(ValueError, match=r"witness pair \(1, 1\)"):
+            gelfand.phi_seminorm(np.ones(8), phi, gelfand.cyclic(8))
 
     def test_rejects_nonpositive_weight(self, s3):
         with pytest.raises(ValueError):
