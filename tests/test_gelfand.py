@@ -449,6 +449,39 @@ def _dense_report(group, blocks, counts):
 class TestCosetCountBlocks:
     """Structure constants over the double cosets, kept as one sparse table."""
 
+    CASES = [("q8", lambda g: [g.id]), ("s4", lambda g: [g.id]),
+             ("s4", lambda g: [g.id, first_transposition(g)]),
+             ("d5", lambda g: [g.id]), ("z6", lambda g: [0, 3]), ("s3", lambda g: [g.id])]
+
+    @pytest.mark.parametrize("cap", [1, 50, 1000])
+    def test_blocks_tile_the_full_tensor(self, cap):
+        # the code (i d + j) d + k keeps the target coset k in its lowest digit,
+        # so runs of target cosets, at most `cap` bins each, cut out of the
+        # sparse table tile the d x d x d tensor of counts
+        for name, pick in self.CASES:
+            group = gelfand.GROUP_LIBRARY[name]()
+            blocks = gelfand.double_cosets(group, pick(group))
+            d = len(blocks)
+            codes, counts = gelfand._coset_counts(group, blocks)
+            full = np.zeros(d ** 3, dtype=np.int64)
+            full[codes] = counts
+            full = full.reshape(d, d, d)
+            width = max(1, cap // d ** 2)
+            parts = []
+            for lo in range(0, d, width):
+                hi = min(lo + width, d)
+                ij, k = np.divmod(codes, d)
+                keep = (k >= lo) & (k < hi)
+                part = np.zeros((d * d, hi - lo), dtype=np.int64)
+                part[ij[keep], k[keep] - lo] = counts[keep]
+                parts.append(part.reshape(d, d, hi - lo))
+            assert all(part.size <= max(cap, d * d) for part in parts)
+            assert len(parts) == -(-d // width)
+            assert np.array_equal(np.concatenate(parts, axis=2), full)
+            assert np.array_equal(full, _dense_counts(group, blocks)), name
+            gelfand.cache_clear()                # count, rather than read a kept report
+            assert gelfand.is_gelfand_pair(group, pick(group)) == _dense_report(group, blocks, full)
+
     def test_sparse_table_matches_dense_reference(self):
         s5, s6 = gelfand.symmetric(5), gelfand.symmetric(6)
         cases = [(build(), k) for build in gelfand.GROUP_LIBRARY.values()
