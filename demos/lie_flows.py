@@ -30,7 +30,7 @@ print("\n=== numeric flows ===")
 scale = PolyVectorField(["x1"])
 end, err = flow(scale, [1.0], 1.0)
 print(f"flow of x d/dx from 1 over t=1: {end[0]:.12f}  (exact e = {np.e:.12f})")
-print(f"step-halving error estimate: {err:.2e}")
+print(f"error estimate (series tail plus rounding): {err:.2e}")
 
 rot = PolyVectorField(["-x2", "x1"])
 end, _ = flow(rot, [1.0, 0.0], np.pi / 2)

@@ -254,6 +254,8 @@ def cmd_lie(args) -> int:
     if args.lie_op == "flows":
         if len(fields) < 2:
             raise UsageError("flows needs two fields")
+        if not 0 < args.t <= liefields.MAX_FLOW_T:
+            raise UsageError(f"--t must lie in (0, {liefields.MAX_FLOW_T}], got {args.t}")
         point = [float(t) for t in args.point.split(",")]
         if len(point) != fields[0].dim:
             raise UsageError(f"--point needs {fields[0].dim} coordinates, got {len(point)}")

@@ -371,7 +371,7 @@ def catalog(name: str):
             base = t if k >= 0 else 1.0 / t
             out = np.ones_like(t)
             for _ in range(abs(k)):
-                out = out * base
+                out *= base
             return out
 
         return power

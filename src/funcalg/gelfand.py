@@ -44,10 +44,14 @@ class FiniteGroup:
     id: int = 0
 
     def __init__(self, mul):
-        mul = np.array(mul, dtype=int)                       # private copy, frozen below
+        bad_table = GroupError("mul must be an n x n table of element indices")
+        try:
+            mul = np.array(mul, dtype=int)                   # private copy, frozen below
+        except OverflowError:                                # an entry past int64
+            raise bad_table from None
         n = mul.shape[0]
         if mul.shape != (n, n) or np.any(mul < 0) or np.any(mul >= n):
-            raise GroupError("mul must be an n x n table of element indices")
+            raise bad_table
         elements = np.arange(n)
         # e is a two-sided identity when row e and column e both read 0..n-1
         ident = np.flatnonzero((mul == elements).all(axis=1)
@@ -111,9 +115,13 @@ def _is_associative(mul: np.ndarray, ident: int) -> bool:
 
 def subgroup(group: FiniteGroup, members) -> np.ndarray:
     """Validated subgroup: sorted member indices, closed under mul and inv."""
-    members = np.unique(np.asarray(members, dtype=int))
+    out_of_range = GroupError(f"subgroup indices must lie in 0..{group.order - 1}")
+    try:
+        members = np.unique(np.asarray(members, dtype=int))
+    except OverflowError:                   # an index past int64
+        raise out_of_range from None
     if members.size and (members[0] < 0 or members[-1] >= group.order):
-        raise GroupError(f"subgroup indices must lie in 0..{group.order - 1}")
+        raise out_of_range
     inside = np.zeros(group.order, dtype=bool)
     inside[members] = True
     if not inside[group.id]:

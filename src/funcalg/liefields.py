@@ -15,6 +15,8 @@ from __future__ import annotations
 import ast
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,9 +151,8 @@ def parse_polynomial(text: str, d: int) -> dict:
 def format_polynomial(poly: dict) -> str:
     """Print a polynomial in the grammar of :func:`parse_polynomial`, terms in
     descending lexicographic order of exponents: "-x1**2*x2 + 3*x2/2 - 1".
-    The text is also a Python expression in x1..xd.  To keep the established
-    CLI text, a positive constant minus a power of one variable puts the
-    constant first: "1 - 2*x1**2" (but "-x1*x2 + 1")."""
+    To keep the established CLI text, a positive constant minus a power of
+    one variable puts the constant first: "1 - 2*x1**2" (but "-x1*x2 + 1")."""
     order = sorted(poly, reverse=True)
     if (len(order) == 2 and not any(order[1]) and poly[order[1]] > 0 > poly[order[0]]
             and sum(map(bool, order[0])) == 1):
@@ -265,54 +266,125 @@ def fields_equal(a: PolyVectorField, b: PolyVectorField) -> bool:
 
 
 OVERFLOW_GUARD = 1e8
+TAYLOR_ORDER = 20           # degree of the series summed at each step
+STEP_SAFETY = math.e ** 2   # step = (radius read off the last two coefficients) / e^2
+WORK_BUDGET = 2_000_000     # multiplications per flow: 20 000 steps of a plane rotation
+MAX_FLOW_T = 0.1            # bracket_via_flows takes t in (0, MAX_FLOW_T]
 
 
-def _evaluator(field: PolyVectorField):
-    """The components compiled once into a function of x1..xd that takes
-    floats or numpy arrays; the printed text is a Python expression."""
-    body = ", ".join(format_polynomial(c) for c in field.components)
-    return eval(f"lambda {', '.join(_names(field.dim))}: ({body},)", {"__builtins__": {}})
+def _taylor_plan(field: PolyVectorField):
+    """The monomials the components use, each the product of two slots before it.
+
+    Slot 0 is the constant 1 and slot 1 + v is x_v.  A power x_v^k is built
+    from x_v^(k-1) and x_v, any other monomial from itself without its last
+    variable and that variable's power, so a field needs at most one slot per
+    term and per power of a variable.  ``build`` lists the (left, right) slots
+    of each further slot in order; ``terms`` holds each component as
+    (slot, float coefficient) pairs.
+    """
+    d = field.dim
+    if any(sum(e) > MAX_DEGREE for comp in field.components for e in comp):
+        raise FieldError(f"flows take fields of degree at most {MAX_DEGREE}")
+    slots = {(0,) * d: 0}
+    slots.update({tuple(int(k == v) for k in range(d)): 1 + v for v in range(d)})
+    build = []
+
+    def slot(e):                # recursion depth <= 2 * MAX_DEGREE
+        if e not in slots:
+            v = max(i for i, k in enumerate(e) if k)
+            power = (0,) * v + e[v:v + 1] + (0,) * (d - v - 1)
+            if e == power:
+                build.append((slot(e[:v] + (e[v] - 1,) + e[v + 1:]), 1 + v))
+            else:
+                build.append((slot(e[:v] + (0,) + e[v + 1:]), slot(power)))
+            slots[e] = len(slots)
+        return slots[e]
+
+    terms = [[(slot(e), float(c)) for e, c in comp.items()] for comp in field.components]
+    return build, terms
 
 
 def flow(field: PolyVectorField, point, t: float):
-    """RK4 integration of the flow of the field from point over time t.
+    """Taylor-series integration of the flow of the field from point over time t.
 
-    Returns ``(endpoint, error_estimate)``: the endpoint of a 128-step run and
-    the estimate |fine - coarse|_inf / 15 of its error against a 64-step run.
-    Raises FieldError when the trajectory leaves the overflow guard.
+    Each step sums the solution's series to order TAYLOR_ORDER by Horner.  The
+    coefficients are exact consequences of the field, x_(n+1) = [X(x)]_n / (n+1),
+    and the n-th coefficient of a monomial is one Cauchy product of the series
+    of the two slots it is built from.  The step is min_m |x_m|^(-1/m) / STEP_SAFETY over
+    the last two orders (Jorba & Zou, Exp. Math. 14, 2005), a multiple of
+    ulp(t) so that the elapsed time is exact.
+
+    Returns ``(endpoint, error_estimate)``.  The estimate sums, over the steps,
+    the series tail extrapolated from the last two orders and a Horner rounding
+    term, plus one ulp of the endpoint, so it is strictly positive; it does not
+    follow early errors through the flow's own growth.  Raises FieldError when
+    the trajectory leaves the overflow guard or needs more steps than
+    WORK_BUDGET allows the field.
     """
-    start = [float(v) for v in point]
-    if len(start) != field.dim:
-        raise FieldError(f"point has {len(start)} coordinates, field has dimension {field.dim}")
-    f = _evaluator(field)
-
-    def integrate(nsteps):
-        p = start
-        h = t / nsteps
-        for _ in range(nsteps):
-            k1 = f(*p)
-            k2 = f(*[a + 0.5 * h * b for a, b in zip(p, k1)])
-            k3 = f(*[a + 0.5 * h * b for a, b in zip(p, k2)])
-            k4 = f(*[a + h * b for a, b in zip(p, k3)])
-            p = [a + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(p, k1, k2, k3, k4)]
-            if not all(abs(v) <= OVERFLOW_GUARD for v in p):    # also catches NaN
-                raise FieldError("flow diverged beyond the overflow guard")
-        return np.array(p)
-
+    x = [float(v) for v in point]
+    if len(x) != field.dim:
+        raise FieldError(f"point has {len(x)} coordinates, field has dimension {field.dim}")
+    if not math.isfinite(t):
+        raise FieldError(f"flow time {t!r} is not finite")
+    n_order, d = TAYLOR_ORDER, field.dim
+    gamma = n_order * sys.float_info.epsilon        # gamma_2N of Horner's rounding bound
     try:
-        coarse = integrate(64)
-        fine = integrate(128)
+        build, terms = _taylor_plan(field)
     except OverflowError:
-        raise FieldError("flow diverged beyond the overflow guard") from None
-    return fine, float(np.max(np.abs(fine - coarse)) / 15.0)
+        raise FieldError("coefficient too large for a float flow") from None
+    # per step: N(N+1)/2 multiplications per Cauchy product, about N per term
+    # and per coordinate, and N for the rest
+    max_steps = WORK_BUDGET // (n_order * (n_order + 1) // 2 * len(build)
+                                + n_order * (1 + d + sum(map(len, terms))))
+    unit = [1.0] + [0.0] * n_order
+    quantum = math.ulp(abs(t))
+    done, err, steps = 0.0, 0.0, 0
+    while done < abs(t):
+        if steps == max_steps:
+            raise FieldError(f"flow needs more than {max_steps} Taylor steps")
+        steps += 1
+        series = [unit] + [[v] for v in x] + [[] for _ in build]
+        xs = series[1:1 + d]
+        for n in range(n_order):
+            for j, (a, b) in enumerate(build, 1 + d):
+                series[j].append(sum(map(operator.mul, series[a], reversed(series[b]))))
+            nxt = [sum(c * series[j][n] for j, c in comp) / (n + 1) for comp in terms]
+            for s, v in zip(xs, nxt):
+                s.append(v)
+        radii = {}
+        for m in (n_order - 1, n_order):
+            a = max((abs(s[m]) for s in xs), default=0.0)
+            if a > 0:                       # a NaN is left to the overflow guard
+                radii[m] = a ** (-1.0 / m)
+        rho = min(radii.values(), default=math.inf)
+        h = math.floor(min(abs(t) - done, rho / STEP_SAFETY) / quantum) * quantum
+        if h == 0:
+            raise FieldError("flow diverged: the Taylor step fell below the resolution of t")
+        # the terms past the last order, taken to fall off geometrically by h / rho
+        r = h / rho
+        tail = max(((h / rm) ** m * r ** (n_order - m) for m, rm in radii.items()),
+                   default=0.0) * r / (1 - r)
+        step = math.copysign(h, t)
+        size = 0.0
+        for i, s in enumerate(xs):
+            acc = mag = 0.0
+            for c in reversed(s):
+                acc = acc * step + c
+                mag = mag * h + abs(c)
+            x[i] = acc
+            size = max(size, mag)
+        if not all(abs(v) <= OVERFLOW_GUARD for v in x):        # also catches NaN
+            raise FieldError("flow diverged beyond the overflow guard")
+        err += tail + gamma * size
+        done += h
+    return np.array(x), err + math.ulp(max(map(abs, x), default=0.0))
 
 
 def bracket_via_flows(x_field: PolyVectorField, y_field: PolyVectorField,
                       point, t: float) -> np.ndarray:
     """Finite commutator of flows, (flow loop - identity) / t^2 -> [X, Y](p) + O(t)."""
-    if t <= 0 or t > 0.1:
-        raise FieldError("t must lie in (0, 0.1]")
+    if not 0 < t <= MAX_FLOW_T:
+        raise FieldError(f"t must lie in (0, {MAX_FLOW_T}]")
     p = np.asarray(point, dtype=float)
     q, _ = flow(x_field, p, t)
     q, _ = flow(y_field, q, t)

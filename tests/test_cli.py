@@ -224,6 +224,23 @@ class TestLie:
     def test_missing_file_exit_2(self):
         assert run(["lie", "bracket", "--fields", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("t", ["0.5", "-1", "0", "0.100001"])
+    def test_flows_t_outside_range_exit_2(self, t, tmp_path, capsys):
+        path = write_fields(tmp_path, {"dim": 1, "fields": [[{"0": 1}], [{"1": 1}]]})
+        assert run(["lie", "flows", "--fields", path, "--point", "0.5", f"--t={t}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t must lie in (0, 0.1]") and err.count("\n") == 1
+
+    def test_flow_over_step_budget_exit_1(self, tmp_path):
+        # a rotation at angular speed 1e9 needs ~1e8 Taylor steps over t = 0.1
+        path = write_fields(tmp_path, {"dim": 2, "fields": [
+            [{"0,1": -1000000000}, {"1,0": 1000000000}], [{"1,0": 1}, {"0,1": 1}]]})
+        proc = subprocess.run([sys.executable, "-m", "funcalg.cli", "lie", "flows",
+                               "--fields", path, "--point", "1,0", "--t", "0.1"],
+                              capture_output=True, text=True, env=_checkout_env(), timeout=60)
+        assert proc.returncode == 1
+        assert "Taylor steps" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_bracket_rational_text(self, tmp_path):
         # [x1/2 d/dx, x1^2 d/dx] = (x1/2 * 2 x1 - x1^2 / 2) d/dx = x1^2/2 d/dx
         path = write_fields(tmp_path, {"dim": 1, "fields": [[{"1": "1/2"}], [{"2": 1}]]})
@@ -400,6 +417,12 @@ class TestBadInput:
         assert run(["gelfand", "check", "--group", "s3", "--subgroup", subgroup]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "0..5" in err
+
+    @pytest.mark.parametrize("subgroup", ["0,99999999999999999999", "-99999999999999999999,0"])
+    def test_subgroup_index_past_int64_exit_2(self, subgroup, capsys):
+        assert run(["gelfand", "check", "--group", "s3", f"--subgroup={subgroup}"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: subgroup indices must lie in 0..5\n"
 
     def test_empty_group_table_exit_2(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"

@@ -399,6 +399,46 @@ class TestCatalog:
             np.testing.assert_allclose(catalog(f"poly:{k}")(t), t ** float(k), rtol=1e-14)
         assert float(catalog("poly:3")(-2.0)) == -8.0
 
+    @pytest.mark.parametrize("k", [-3, 0, 2, 5])
+    def test_poly_equals_repeated_products(self, k):
+        # in place or not, the products are the same roundings in the same order
+        t = np.concatenate([-np.geomspace(3.0, 0.01, 50), np.geomspace(0.01, 3.0, 50)])
+        base = t if k >= 0 else 1.0 / t
+        ref = np.ones_like(t)
+        for _ in range(abs(k)):
+            ref = ref * base
+        np.testing.assert_array_equal(catalog(f"poly:{k}")(t), ref)
+        assert float(catalog(f"poly:{k}")(t[3])) == ref[3]
+
+    def test_poly_ladders_unchanged(self, m2):
+        # values of the out-of-place products, q = 2, default ladder and grid
+        recorded = {
+            ("poly:2", "taylor"): [
+                3.3306690738754696e-16, 3.3306690738754696e-16, 4.440892098500626e-16,
+                4.440892098500626e-16, 3.3306690738754696e-16, 3.3306690738754696e-16,
+                3.3306690738754696e-16, 3.3306690738754696e-16, 3.3306690738754696e-16,
+                3.3306690738754696e-16, 3.3306690738754696e-16, 3.3306690738754696e-16],
+            ("poly:2", "seminorm"): [
+                7.0047093125857884e-12, 2.823055678113917e-11, 1.137223093472528e-10,
+                4.675115850005795e-10, 2.0207169271202474e-09, 8.325368838768554e-09,
+                3.3526546872053586e-08, 1.2143289040977834e-07, 1.3413136912276968e-06,
+                8.595578037784435e-06, 5.183034954825416e-05, 0.0004098062199773267],
+            ("poly:5", "taylor"): [
+                0.009375477773035934, 0.000585967360814954, 3.662296005102483e-05,
+                2.2889350034249745e-06, 1.4305843787365546e-07, 8.94115237404236e-09,
+                5.588223217500854e-10, 3.4926728176287725e-11, 2.1829205110179828e-12,
+                1.3655743202889425e-13, 8.770761894538737e-15, 8.881784197001252e-16],
+            ("poly:5", "seminorm"): [
+                59.99999999997466, 59.99999999992294, 59.999999999717055,
+                59.999999998818055, 59.99999999520986, 59.9999999869602,
+                59.99999996651678, 59.9999996893921, 59.99999708344785,
+                59.99998252437581, 60.000063715691795, 60.000226315285545],
+        }
+        for (name, kind), values in recorded.items():
+            net = (taylor_defect(catalog(name), m2) if kind == "taylor"
+                   else seminorm_net(catalog(name), m2, 3))
+            np.testing.assert_array_equal(net.values, values)
+
     def test_spike_mass(self):
         f = catalog("spike:0.5")
         x = np.linspace(-1, 1, 200001)

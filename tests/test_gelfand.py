@@ -109,6 +109,11 @@ class TestFiniteGroup:
         with pytest.raises(gelfand.GroupError):
             gelfand.FiniteGroup(np.array([[0, 0], [0, 0]]))
 
+    @pytest.mark.parametrize("entry", [2 ** 70, -2 ** 70])
+    def test_rejects_entries_past_int64(self, entry):
+        with pytest.raises(gelfand.GroupError, match="n x n table"):
+            gelfand.FiniteGroup([[0, 1], [1, entry]])
+
     def test_subgroup_validation(self, s3):
         t = first_transposition(s3)
         members = gelfand.subgroup(s3, [s3.id, t])
@@ -149,6 +154,11 @@ class TestFiniteGroup:
     @pytest.mark.parametrize("members", [[0, 99], [0, -1], [0, 6]])
     def test_subgroup_rejects_out_of_range_indices(self, s3, members):
         # numpy would wrap -1 to element 5 and fail on 99 with an IndexError
+        with pytest.raises(gelfand.GroupError, match="0..5"):
+            gelfand.subgroup(s3, members)
+
+    @pytest.mark.parametrize("members", [[0, 10 ** 20], [-10 ** 20, 0], [0, 2 ** 63]])
+    def test_subgroup_rejects_indices_past_int64(self, s3, members):
         with pytest.raises(gelfand.GroupError, match="0..5"):
             gelfand.subgroup(s3, members)
 

@@ -1,9 +1,12 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from funcalg.liefields import (
     MAX_DEGREE,
@@ -293,3 +296,74 @@ class TestFlowErrorEstimate:
     def test_point_dimension_checked(self):
         with pytest.raises(FieldError):
             flow(field("x1", "x2"), [1.0], 0.1)
+
+
+def within_estimate(end, err, exact):
+    """The error estimate is positive and covers the actual error."""
+    return err > 0 and np.max(np.abs(np.asarray(end) - exact)) < 10 * err + 1e-15
+
+
+class TestFlowClosedForms:
+    @pytest.mark.parametrize("comps, start, t, exact", [
+        (["x1**2"], [1.0], 0.9, [10.0]),                        # x = 1 / (1 - t)
+        (["1 + x1**2"], [0.0], 1.2, [math.tan(1.2)]),
+        (["-x2", "x1"], [1.0, 0.0], math.pi / 2, [math.cos(math.pi / 2), 1.0]),
+        (["-x2", "x1"], [1.0, 0.0], 2 * math.pi, [1.0, math.sin(2 * math.pi)]),
+        # 1e4 radians: ~9000 steps, inside the work budget
+        (["-100000*x2", "100000*x1"], [1.0, 0.0], 0.1, [math.cos(1e4), math.sin(1e4)]),
+    ], ids=["blow-up-curve", "tan", "quarter-turn", "full-turn", "fast-rotation"])
+    def test_closed_form(self, comps, start, t, exact):
+        end, err = flow(PolyVectorField(comps), start, t)
+        assert within_estimate(end, err, exact), (end, err)
+
+    def test_degree_63_rotation(self):
+        # (x1^2 + x2^2)^31 = 1 on the unit circle, so this turns (1, 0) by 10 radians.
+        # The angular speed grows like r^62 off the circle, and the estimate does not
+        # follow rounding errors through that shear, so the check is absolute.
+        r = "(x1**2 + x2**2)**31"
+        end, err = flow(PolyVectorField([f"-1000*x2*{r}", f"1000*x1*{r}"]), [1.0, 0.0], 0.01)
+        assert err > 0
+        np.testing.assert_allclose(end, [math.cos(10.0), math.sin(10.0)], rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("t", [1.0, -0.7])
+    def test_linear_field_matches_expm(self, t):
+        a = np.array([[0, 2, -1], [-2, 0, 1], [1, -1, -1]])
+        x = from_coeff_map([{tuple(int(j == k) for k in range(3)): int(a[i, j])
+                             for j in range(3) if a[i, j]} for i in range(3)], 3)
+        start = np.array([0.3, -0.5, 0.8])
+        end, err = flow(x, start, t)
+        assert within_estimate(end, err, expm(t * a) @ start), (end, err)
+
+    def test_fraction_coefficient(self):
+        for x in (PolyVectorField([{(1,): Fraction(1, 3)}]), field("x1/3")):
+            end, err = flow(x, [1.5], 1.0)
+            assert within_estimate(end, err, [1.5 * math.exp(1 / 3)]), (end, err)
+
+    def test_zero_trajectory_has_positive_estimate(self):
+        end, err = flow(field("x1**2"), [0.0], 1.0)
+        assert end[0] == 0.0 and err > 0
+
+    def test_negative_time_inverts(self):
+        x = field("x1*x2", "x2 - x1")
+        there, err_there = flow(x, [0.3, -0.2], 0.5)
+        back, err_back = flow(x, there, -0.5)
+        assert within_estimate(back, err_there + err_back, [0.3, -0.2])
+
+    def test_degree_above_cap_is_refused(self):
+        # a field of degree 1e8 would need a chain of 1e8 monomial series
+        with pytest.raises(FieldError, match=f"degree at most {MAX_DEGREE}"):
+            flow(from_coeff_map([{(10 ** 8,): 1}], 1), [0.5], 0.1)
+        end, err = flow(from_coeff_map([{(MAX_DEGREE,): 1}], 1), [0.5], 0.1)
+        assert within_estimate(end, err, [0.5])   # moves by ~0.1 * 2^-64
+
+    @pytest.mark.parametrize("comps, steps", [
+        # a rotation at 1e9 needs ~1e8 steps over t = 0.1: refused, not run
+        (["-1000000000*x2", "1000000000*x1"], 20000),
+        # each step of a degree-63 field costs ~190 Cauchy products, so fewer are allowed
+        (["-1000000*x2*(x1**2 + x2**2)**31", "1000000*x1*(x1**2 + x2**2)**31"], 49),
+    ], ids=["linear", "degree-63"])
+    def test_work_budget_bounds_a_fast_field(self, comps, steps):
+        start = time.perf_counter()
+        with pytest.raises(FieldError, match=f"more than {steps} Taylor steps"):
+            flow(PolyVectorField(comps), [1.0, 0.0], 0.1)
+        assert time.perf_counter() - start < 20
