@@ -267,7 +267,7 @@ def fields_equal(a: PolyVectorField, b: PolyVectorField) -> bool:
 
 OVERFLOW_GUARD = 1e8
 TAYLOR_ORDER = 20           # degree of the series summed at each step
-STEP_SAFETY = math.e ** 2   # step = (radius read off the last two coefficients) / e^2
+STEP_SAFETY = math.e ** 2   # step = (radius read off the series' top coefficients) / e^2
 WORK_BUDGET = 2_000_000     # multiplications per flow: 20 000 steps of a plane rotation
 MAX_FLOW_T = 0.1            # bracket_via_flows takes t in (0, MAX_FLOW_T]
 
@@ -276,29 +276,40 @@ def _taylor_plan(field: PolyVectorField):
     """The monomials the components use, each the product of two slots before it.
 
     Slot 0 is the constant 1 and slot 1 + v is x_v.  A power x_v^k is built
-    from x_v^(k-1) and x_v, any other monomial from itself without its last
-    variable and that variable's power, so a field needs at most one slot per
-    term and per power of a variable.  ``build`` lists the (left, right) slots
-    of each further slot in order; ``terms`` holds each component as
-    (slot, float coefficient) pairs.
+    by squaring, from x_v^(k/2) twice or from x_v^(k-1) and x_v, and any other
+    monomial from itself without its last variable and that variable's power,
+    so a term of degree k needs at most d + 2 log2(k) slots.  ``build`` lists
+    the (left, right) slots of each further slot in order; ``terms`` holds
+    each component as (slot, float coefficient) pairs.
     """
     d = field.dim
-    if any(sum(e) > MAX_DEGREE for comp in field.components for e in comp):
-        raise FieldError(f"flows take fields of degree at most {MAX_DEGREE}")
     slots = {(0,) * d: 0}
     slots.update({tuple(int(k == v) for k in range(d)): 1 + v for v in range(d)})
     build = []
 
-    def slot(e):                # recursion depth <= 2 * MAX_DEGREE
+    def add(e, left, right):
         if e not in slots:
-            v = max(i for i, k in enumerate(e) if k)
-            power = (0,) * v + e[v:v + 1] + (0,) * (d - v - 1)
-            if e == power:
-                build.append((slot(e[:v] + (e[v] - 1,) + e[v + 1:]), 1 + v))
-            else:
-                build.append((slot(e[:v] + (0,) + e[v + 1:]), slot(power)))
+            build.append((left, right))
             slots[e] = len(slots)
         return slots[e]
+
+    def power(v, k):            # x_v^k by squaring, so O(log k) slots
+        acc, j = 1 + v, 1
+        for bit in bin(k)[3:]:
+            j *= 2
+            acc = add((0,) * v + (j,) + (0,) * (d - v - 1), acc, acc)
+            if bit == "1":
+                j += 1
+                acc = add((0,) * v + (j,) + (0,) * (d - v - 1), acc, 1 + v)
+        return acc
+
+    def slot(e):
+        prefix, left = [0] * d, 0           # left: the slot of e's part up to variable v
+        for v, k in enumerate(e):
+            if k:
+                prefix[v] = k
+                left = power(v, k) if left == 0 else add(tuple(prefix), left, power(v, k))
+        return left
 
     terms = [[(slot(e), float(c)) for e, c in comp.items()] for comp in field.components]
     return build, terms
@@ -310,16 +321,16 @@ def flow(field: PolyVectorField, point, t: float):
     Each step sums the solution's series to order TAYLOR_ORDER by Horner.  The
     coefficients are exact consequences of the field, x_(n+1) = [X(x)]_n / (n+1),
     and the n-th coefficient of a monomial is one Cauchy product of the series
-    of the two slots it is built from.  The step is min_m |x_m|^(-1/m) / STEP_SAFETY over
-    the last two orders (Jorba & Zou, Exp. Math. 14, 2005), a multiple of
-    ulp(t) so that the elapsed time is exact.
+    of the two slots it is built from.  The step is min_m |x_m|^(-1/m) /
+    STEP_SAFETY over the two highest orders m with x_m != 0 (Jorba & Zou, Exp.
+    Math. 14, 2005), a multiple of ulp(t) so that the elapsed time is exact.
 
     Returns ``(endpoint, error_estimate)``.  The estimate sums, over the steps,
-    the series tail extrapolated from the last two orders and a Horner rounding
+    the series tail extrapolated from those two orders and a Horner rounding
     term, plus one ulp of the endpoint, so it is strictly positive; it does not
     follow early errors through the flow's own growth.  Raises FieldError when
     the trajectory leaves the overflow guard or needs more steps than
-    WORK_BUDGET allows the field.
+    WORK_BUDGET allows the field; at least one step is always allowed.
     """
     x = [float(v) for v in point]
     if len(x) != field.dim:
@@ -334,8 +345,8 @@ def flow(field: PolyVectorField, point, t: float):
         raise FieldError("coefficient too large for a float flow") from None
     # per step: N(N+1)/2 multiplications per Cauchy product, about N per term
     # and per coordinate, and N for the rest
-    max_steps = WORK_BUDGET // (n_order * (n_order + 1) // 2 * len(build)
-                                + n_order * (1 + d + sum(map(len, terms))))
+    max_steps = max(1, WORK_BUDGET // (n_order * (n_order + 1) // 2 * len(build)
+                                       + n_order * (1 + d + sum(map(len, terms)))))
     unit = [1.0] + [0.0] * n_order
     quantum = math.ulp(abs(t))
     done, err, steps = 0.0, 0.0, 0
@@ -351,11 +362,16 @@ def flow(field: PolyVectorField, point, t: float):
             nxt = [sum(c * series[j][n] for j, c in comp) / (n + 1) for comp in terms]
             for s, v in zip(xs, nxt):
                 s.append(v)
+        # the two highest orders with a non-zero coefficient: orders may vanish
+        # in runs (x' = 1 + x^4 from 0 has terms at orders 1, 5, 9, ..), and rho
+        # is infinite only at an equilibrium, where the constant series is exact
         radii = {}
-        for m in (n_order - 1, n_order):
+        for m in range(n_order, 0, -1):
             a = max((abs(s[m]) for s in xs), default=0.0)
             if a > 0:                       # a NaN is left to the overflow guard
                 radii[m] = a ** (-1.0 / m)
+                if len(radii) == 2:
+                    break
         rho = min(radii.values(), default=math.inf)
         h = math.floor(min(abs(t) - done, rho / STEP_SAFETY) / quantum) * quantum
         if h == 0:

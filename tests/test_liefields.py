@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from funcalg.liefields import (
     MAX_DEGREE,
@@ -349,12 +350,46 @@ class TestFlowClosedForms:
         back, err_back = flow(x, there, -0.5)
         assert within_estimate(back, err_there + err_back, [0.3, -0.2])
 
-    def test_degree_above_cap_is_refused(self):
-        # a field of degree 1e8 would need a chain of 1e8 monomial series
-        with pytest.raises(FieldError, match=f"degree at most {MAX_DEGREE}"):
-            flow(from_coeff_map([{(10 ** 8,): 1}], 1), [0.5], 0.1)
+    def test_series_with_vanishing_top_orders(self):
+        # x' = 1 + x^4 from 0 has terms only at orders 1, 5, 9, 13, 17, 21, .., so
+        # orders 19 and 20 vanish although the radius is only ~1.1.  The time to
+        # reach x is F(x) = int_0^x du / (1 + u^4), in closed form.
+        def f(x):
+            r = math.sqrt(2)
+            return ((math.atan(r * x + 1) + math.atan(r * x - 1)) / (2 * r)
+                    + math.log((x * x + r * x + 1) / (x * x - r * x + 1)) / (4 * r))
+        exact = brentq(lambda x: f(x) - 1.0, 1.0, 2.0, xtol=1e-16, rtol=1e-15)
+        end, err = flow(field("1 + x1**4"), [0.0], 1.0)
+        assert within_estimate(end, err, [exact]), (end, err, exact)
+
+    def test_polynomial_solution_past_the_order(self):
+        # x1 = t, x2 = t^3/3, x3 = t^7/63, x4 = t^15/(15*63^2), x5 = t^31/(31*15^2*63^4):
+        # no series term of orders 16..20 is non-zero, yet x5 has degree 31
+        t = 3.0
+        exact = [t, t ** 3 / 3, t ** 7 / 63, t ** 15 / (15 * 63 ** 2),
+                 t ** 31 / (31 * 15 ** 2 * 63 ** 4)]
+        end, err = flow(field("1", "x1**2", "x2**2", "x3**2", "x4**2"), [0.0] * 5, t)
+        assert within_estimate(end, err, exact), (end, err)
+
+    def test_high_degree_fields_flow(self):
+        # powers are built by squaring, so degree 1e8 needs ~50 series; 0.5^1e8 = 0
+        end, err = flow(from_coeff_map([{(10 ** 8,): 1}], 1), [0.5], 0.1)
+        assert end[0] == 0.5 and err > 0
         end, err = flow(from_coeff_map([{(MAX_DEGREE,): 1}], 1), [0.5], 0.1)
         assert within_estimate(end, err, [0.5])   # moves by ~0.1 * 2^-64
+        # x' = x^100: x^-99 = x0^-99 - 99 t
+        end, err = flow(from_coeff_map([{(100,): 1}], 1), [0.9], 200.0)
+        assert within_estimate(end, err, [(0.9 ** -99 - 99 * 200.0) ** (-1 / 99)]), (end, err)
+
+    def test_large_field_gets_one_step(self):
+        # sum_{k < 10^4} x^k = 1 / (1 - x) in floats for x near 0.1, so
+        # (1 - x)^2 = (1 - x0)^2 - 2t.  The field needs ~10^4 series, more than
+        # WORK_BUDGET pays for in one step, and t is small enough for one step.
+        x = from_coeff_map([{(k,): 1 for k in range(10 ** 4)}], 1)
+        end, err = flow(x, [0.1], 0.01)
+        assert within_estimate(end, err, [1 - math.sqrt(0.81 - 0.02)]), (end, err)
+        with pytest.raises(FieldError, match="more than 1 Taylor steps"):
+            flow(x, [0.1], 0.2)
 
     @pytest.mark.parametrize("comps, steps", [
         # a rotation at 1e9 needs ~1e8 steps over t = 0.1: refused, not run
