@@ -415,7 +415,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):     # non-finite results are refused by value
+            return args.func(args)
     except (liefields.FieldError, NonFiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -138,7 +138,10 @@ def disc_algebra_membership(b: BoundaryGrid, tol: float = 1e-10):
 
     Returns (member, witness) where witness is the most offending negative
     index (the most negative one among ties), or None for members.
+    Raises FloatingPointError if a boundary sample is NaN or infinite.
     """
+    if not np.all(np.isfinite(b.samples)):
+        raise FloatingPointError("symbol is not finite on the boundary grid")
     first = b.size // 2 + 1             # index of offset -M/2 + 1
     neg = np.abs(boundary_fourier(b)[first:])
     if neg.size == 0 or neg.max() < tol:

@@ -1,12 +1,23 @@
 """Serialization helpers shared by the command line: deterministic JSON,
-CSV matrix export and the small symbol/polynomial expression parsers."""
+CSV matrix export and the small symbol/polynomial expression parsers.
+
+A symbol expression is compiled once into closures, which the returned
+callable runs over the grid in blocks of ``_BLOCK`` points.  Every temporary
+is then 64 KiB, whatever the grid size, and a node's value does not depend
+on the grid it is sampled on.
+"""
 
 from __future__ import annotations
 
 import ast
 import json
+import operator
 
 import numpy as np
+
+# flat points per evaluation block: a complex temporary of 64 KiB stays below
+# glibc's 128 KiB mmap threshold and numpy's 256 KiB temporary elision
+_BLOCK = 4096
 
 
 def format_complex(c: complex) -> str:
@@ -57,8 +68,9 @@ def _json_default(obj):
 
 
 _SYMBOL_FUNCS = {"conj": np.conj, "abs2": lambda w: np.abs(w) ** 2}
-_SYMBOL_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
-_SIGNS = (ast.UAdd, ast.USub)
+_SYMBOL_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                  ast.Mult: operator.mul, ast.Div: operator.truediv}
+_SIGNS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def parse_symbol_expression(expr: str):
@@ -68,47 +80,89 @@ def parse_symbol_expression(expr: str):
     argument, |z|^2, + - * / with unary signs, and ^ or ** to a numeric literal
     power of modulus at most 64.  Integer constants other than exponents are
     read as floats, so no subexpression grows into an unbounded integer.
+    Arithmetic on constants alone keeps Python's semantics: 1/0 raises
+    ZeroDivisionError and an overflowing power OverflowError when evaluated.
+
+    The callable fills its output in blocks of ``_BLOCK`` flat points, so a
+    node's value is the same on any grid that holds it.
     """
     cleaned = expr.replace("|z|^2", "abs2(z)").replace("|z|**2", "abs2(z)")
     try:
-        tree = ast.parse(cleaned.replace("^", "**"), mode="eval")
-        _check_symbol_node(tree.body)
-        code = compile(tree, "<symbol>", "eval")
+        run = _compile_symbol(ast.parse(cleaned.replace("^", "**"), mode="eval").body)
     except (SyntaxError, RecursionError, MemoryError) as exc:
         raise ValueError(f"cannot parse symbol expression: {exc}") from None
 
     def evaluate(z):
         z = np.asarray(z, dtype=complex)
-        env = {"z": z, **_SYMBOL_FUNCS}
-        return np.broadcast_to(np.asarray(eval(code, {"__builtins__": {}}, env),
-                                          dtype=complex), z.shape).copy()
+        out = np.empty(z.shape, dtype=complex)
+        flat_z, flat_out = z.reshape(-1), out.reshape(-1)
+        # at least one block, so an empty grid still raises 1/0
+        for i in range(0, max(z.size, 1), _BLOCK):
+            flat_out[i:i + _BLOCK] = run(flat_z[i:i + _BLOCK])
+        return out
 
     return evaluate
 
 
-def _check_symbol_node(node) -> None:
-    """Raise ValueError unless node lies in the symbol grammar; turns integer
-    constants other than exponents into floats."""
+def _compile_symbol(node):
+    """Closure w -> value of node; raise ValueError unless node lies in the
+    symbol grammar.  A chain of binary operators becomes one loop and a run
+    of signs at most one negation, so a long sum nests no calls."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _SYMBOL_BINOPS:
+        spine = []
+        while isinstance(node, ast.BinOp) and type(node.op) in _SYMBOL_BINOPS:
+            spine.append(node)
+            node = node.left
+        first = _compile_symbol(node)
+        steps = [(_SYMBOL_BINOPS[type(n.op)], _compile_symbol(n.right))
+                 for n in reversed(spine)]
+
+        def chain(w):
+            acc = first(w)
+            for op, term in steps:
+                acc = op(acc, term(w))
+            return acc
+        return chain
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+        negate = False          # negation is exact, so only the parity counts
+        while isinstance(node, ast.UnaryOp) and type(node.op) in _SIGNS:
+            negate ^= isinstance(node.op, ast.USub)
+            node = node.operand
+        operand = _compile_symbol(node)
+        return (lambda w: -operand(w)) if negate else operand
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
         e = node.right
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, _SIGNS):
-            e = e.operand
+        sign = operator.pos
+        if isinstance(e, ast.UnaryOp) and type(e.op) in _SIGNS:
+            sign, e = _SIGNS[type(e.op)], e.operand
         if not (_is_number(e) and abs(e.value) <= 64):
             raise ValueError("an exponent must be a numeric literal of modulus <= 64")
-        _check_symbol_node(node.left)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _SYMBOL_BINOPS):
-        _check_symbol_node(node.left)
-        _check_symbol_node(node.right)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
-        _check_symbol_node(node.operand)
-    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-          and node.func.id in _SYMBOL_FUNCS and len(node.args) == 1 and not node.keywords):
-        _check_symbol_node(node.args[0])
-    elif _is_number(node):
-        if isinstance(node.value, int):
-            node.value = float(node.value)
-    elif not (isinstance(node, ast.Name) and node.id == "z"):
-        raise ValueError(f"unsupported {ast.unparse(node)[:40]!r} in symbol expression")
+        return _power(_compile_symbol(node.left), sign(e.value))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _SYMBOL_FUNCS and len(node.args) == 1 and not node.keywords):
+        func, arg = _SYMBOL_FUNCS[node.func.id], _compile_symbol(node.args[0])
+        return lambda w: func(arg(w))
+    if _is_number(node):
+        value = float(node.value) if isinstance(node.value, int) else node.value
+        return lambda w: value
+    if isinstance(node, ast.Name) and node.id == "z":
+        return lambda w: w
+    raise ValueError(f"unsupported {ast.unparse(node)[:40]!r} in symbol expression")
+
+
+def _power(base, e):
+    """Closure w -> base(w) ** e.  An array to the integer power 1 or 2 is
+    itself or its product with itself, numpy's bits without its general
+    power; everything else is ``**``, so scalars keep Python's errors."""
+    if type(e) is not int or e not in (1, 2):
+        return lambda w: base(w) ** e
+
+    def power(w):
+        x = base(w)
+        if isinstance(x, np.ndarray):
+            return x if e == 1 else x * x
+        return x ** e
+    return power
 
 
 def _is_number(node) -> bool:

@@ -453,6 +453,22 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "bad field file" in err
 
+    @pytest.mark.parametrize("symbol", ["1/(z-1)", "z/0", "1e300*z^64*1e300"])
+    def test_disc_membership_non_finite_symbol_exit_1(self, symbol, capsys):
+        # NaN compares False with the tolerance: these once printed "member": false
+        assert run(["hardy", "disc-membership", f"--symbol={symbol}"]) == 1
+        assert tuple(capsys.readouterr()) == (
+            "", "numerical failure: symbol is not finite on the boundary grid\n")
+
+    @pytest.mark.parametrize("symbol", ["z/0", "abs2(z)^64 * 1e300", "1/0"])
+    def test_numerical_failure_prints_one_line(self, symbol):
+        proc = subprocess.run([sys.executable, "-m", "funcalg.cli", "bergman-norm",
+                               f"--symbol={symbol}"],
+                              capture_output=True, text=True, env=_checkout_env(), timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("numerical failure: ")
+        assert proc.stderr.count("\n") == 1 and "Warning" not in proc.stderr
+
     def test_tower_of_powers_exits_2_quickly(self):
         proc = subprocess.run([sys.executable, "-m", "funcalg.cli", "bergman-norm",
                                "--symbol", "9^9^9^9"],

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from funcalg import hardy
-from funcalg.numcore import HoloPoly, OperatorMatrix, boundary_fourier, boundary_grid_from
+from funcalg.numcore import (
+    BoundaryGrid,
+    HoloPoly,
+    OperatorMatrix,
+    boundary_fourier,
+    boundary_grid_from,
+)
 
 
 class TestNorm:
@@ -213,3 +219,10 @@ class TestDiscAlgebra:
             boundary_grid_from(lambda xi: np.conj(xi) + np.conj(xi) ** 3, 64))
         assert not member and witness == -3
         assert isinstance(witness, int)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_samples_raise(self, bad):
+        samples = np.ones(64, dtype=complex)
+        samples[5] = bad
+        with pytest.raises(FloatingPointError, match="not finite on the boundary grid"):
+            hardy.disc_algebra_membership(BoundaryGrid(samples))
