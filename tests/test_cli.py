@@ -455,7 +455,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("symbol", ["1/(z-1)", "z/0", "1e300*z^64*1e300"])
     def test_disc_membership_non_finite_symbol_exit_1(self, symbol, capsys):
-        # NaN compares False with the tolerance: these once printed "member": false
+        # NaN compares False with any tolerance, so it would read as a non-member
         assert run(["hardy", "disc-membership", f"--symbol={symbol}"]) == 1
         assert tuple(capsys.readouterr()) == (
             "", "numerical failure: symbol is not finite on the boundary grid\n")
