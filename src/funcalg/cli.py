@@ -180,15 +180,14 @@ def cmd_hardy(args) -> int:
         mat = hardy.hardy_toeplitz(parse_fourier_map(args.coeffs, args.cutoff), args.cutoff)
         _write(args.out, _csv_header(args) + _finite(matrix_to_csv, mat.entries))
         return 0
-    if args.hardy_op == "disc-membership":
-        _require(args, "symbol")
-        member, witness = hardy.disc_algebra_membership(
-            boundary_grid_from(parse_symbol_expression(args.symbol), args.m), args.tol)
-        _emit_record(args, {"operation": "disc_algebra_membership",
-                            "member": member, "witness": witness,
-                            "tolerance": args.tol})
-        return 0
-    raise UsageError(f"unknown hardy operation {args.hardy_op!r}")
+    # disc-membership: argparse choices leave no other operation
+    _require(args, "symbol")
+    member, witness = hardy.disc_algebra_membership(
+        boundary_grid_from(parse_symbol_expression(args.symbol), args.m), args.tol)
+    _emit_record(args, {"operation": "disc_algebra_membership",
+                        "member": member, "witness": witness,
+                        "tolerance": args.tol})
+    return 0
 
 
 def _load_group(spec: str) -> gelfand.FiniteGroup:
@@ -206,14 +205,13 @@ def cmd_gelfand(args) -> int:
                             "max_commutator": rep["max_commutator"],
                             "witness": rep["witness"]})
         return 0 if rep["gelfand"] else 1
-    if args.gelfand_op == "spherical":
-        sph = gelfand.spherical_functions(group, members, seed=args.seed)
-        _emit_record(args, {"operation": "spherical_functions",
-                            "count": len(sph),
-                            "functions": [[format_complex(v) for v in phi]
-                                          for phi in sph]})
-        return 0
-    raise UsageError(f"unknown gelfand operation {args.gelfand_op!r}")
+    # spherical: argparse choices leave no other operation
+    sph = gelfand.spherical_functions(group, members, seed=args.seed)
+    _emit_record(args, {"operation": "spherical_functions",
+                        "count": len(sph),
+                        "functions": [[format_complex(v) for v in phi]
+                                      for phi in sph]})
+    return 0
 
 
 def _load_fields(path) -> list[liefields.PolyVectorField]:
@@ -251,27 +249,24 @@ def cmd_lie(args) -> int:
                             "residual": [liefields.format_polynomial(c)
                                          for c in total.components]})
         return 0 if holds else 1
-    if args.lie_op == "flows":
-        if len(fields) < 2:
-            raise UsageError("flows needs two fields")
-        if not 0 < args.t <= liefields.MAX_FLOW_T:
-            raise UsageError(f"--t must lie in (0, {liefields.MAX_FLOW_T}], got {args.t}")
-        point = [float(t) for t in args.point.split(",")]
-        if len(point) != fields[0].dim:
-            raise UsageError(f"--point needs {fields[0].dim} coordinates, got {len(point)}")
-        approx = liefields.bracket_via_flows(fields[0], fields[1], point, args.t)
-        exact = liefields.lie_bracket(fields[0], fields[1])(point)
-        _emit_record(args, {"operation": "bracket_via_flows",
-                            "flow_estimate": [float(v) for v in approx],
-                            "symbolic": [float(v) for v in exact],
-                            "error": float(np.max(np.abs(approx - exact)))})
-        return 0
-    raise UsageError(f"unknown lie operation {args.lie_op!r}")
+    # flows: argparse choices leave no other operation
+    if len(fields) < 2:
+        raise UsageError("flows needs two fields")
+    if not 0 < args.t <= liefields.MAX_FLOW_T:
+        raise UsageError(f"--t must lie in (0, {liefields.MAX_FLOW_T}], got {args.t}")
+    point = [float(t) for t in args.point.split(",")]
+    if len(point) != fields[0].dim:
+        raise UsageError(f"--point needs {fields[0].dim} coordinates, got {len(point)}")
+    approx = liefields.bracket_via_flows(fields[0], fields[1], point, args.t)
+    exact = liefields.lie_bracket(fields[0], fields[1])(point)
+    _emit_record(args, {"operation": "bracket_via_flows",
+                        "flow_estimate": [float(v) for v in approx],
+                        "symbolic": [float(v) for v in exact],
+                        "error": float(np.max(np.abs(approx - exact)))})
+    return 0
 
 
 def cmd_colombeau(args) -> int:
-    if args.colombeau_op != "rate":
-        raise UsageError(f"unknown colombeau operation {args.colombeau_op!r}")
     f = colombeau.catalog(args.f)
     m = colombeau.build_mollifier(args.q)
     if args.alpha == 0:
@@ -289,10 +284,7 @@ def cmd_colombeau(args) -> int:
 
 def cmd_suite(args) -> int:
     t0 = time.perf_counter()
-    try:
-        records = suites.run_suite(args.name, seed=args.seed)
-    except KeyError as exc:
-        raise UsageError(str(exc))
+    records = suites.run_suite(args.name, seed=args.seed)
     elapsed = time.perf_counter() - t0
     all_pass = all(r["passed"] for r in records)
     for r in records:

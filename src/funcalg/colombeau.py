@@ -48,16 +48,14 @@ class Mollifier:
     """Unit-mass bump with vanishing moments 1..q, supported in [-1, 1].
 
     The arrays are read-only copies, and two mollifiers are equal when q and
-    the arrays are.  The derivative polynomials and quadrature weights are
-    built on first use and then kept; they take no part in equality or repr.
+    the arrays are.  The quadrature weights of each derivative order are kept
+    for the process by value (see quadrature_weights).
     """
 
     q: int
     correction: np.ndarray = field(repr=False)   # coefficients of c(t^2)
     grid: np.ndarray = field(repr=False)         # dense sample grid
     samples: np.ndarray = field(repr=False)
-    _polys: dict = field(default_factory=dict, init=False, repr=False)    # n -> P_n
-    _weights: dict = field(default_factory=dict, init=False, repr=False)  # n -> weights
 
     def __post_init__(self):
         for name in ("correction", "grid", "samples"):
@@ -83,22 +81,6 @@ class Mollifier:
     def sup(self) -> float:
         return float(np.max(np.abs(self.samples)))
 
-    def _chebyshev(self, order: int) -> Chebyshev:
-        """P_order of the derivative recurrence, extended from the highest P_n
-        built so far.  Concurrent callers can only build the same P_n twice."""
-        polys = self._polys
-        if order not in polys:
-            t = Chebyshev.identity()
-            s = 1.0 - t ** 2
-            if not polys:
-                polys[0] = Polynomial(self.correction)(t ** 2)
-            top = max(polys)
-            p = polys[top]
-            for n in range(top, order):
-                p = s ** 2 * p.deriv() + (4 * n * t * s - 2 * t) * p
-                polys[n + 1] = p
-        return polys[order]
-
     def derivative_fn(self, order: int):
         """Callable for the order-th derivative, in closed form inside the support.
 
@@ -107,15 +89,18 @@ class Mollifier:
         kept in the Chebyshev basis: its monomial coefficients grow fast
         enough (2e5 at q = 4, n = 4) to cost three digits near |t| = 1.
 
-        Mollifiers are cached per process and read-only, and each one builds
-        P_n once per order n, extending the recurrence from the highest order
-        it already holds, so a repeated call only evaluates.
+        Every call runs the recurrence from P_0; quadrature_weights keeps what
+        a ladder needs, so each order is built once per mollifier.
         """
         if order < 0:
             raise ValueError(f"derivative order must be nonnegative, got {order}")
         if order == 0:
             return self
-        p = self._chebyshev(order)
+        t = Chebyshev.identity()
+        s = 1.0 - t ** 2
+        p = Polynomial(self.correction)(t ** 2)
+        for n in range(order):
+            p = s ** 2 * p.deriv() + (4 * n * t * s - 2 * t) * p
 
         def deriv(x):
             x = np.asarray(x, dtype=float)
@@ -129,20 +114,23 @@ class Mollifier:
 
         return deriv
 
+    @functools.lru_cache(maxsize=64)
     def quadrature_weights(self, order: int) -> np.ndarray:
         """phi^(order)(y_i) w_i on the Gauss-Legendre nodes y_i: all 200 of them
         for order 0, the 100 positive ones (the folded rule) for order >= 1.
-        Built once per order and kept; read-only."""
-        w = self._weights.get(order)
-        if w is None:
-            nodes, weights = _gauss_legendre()
-            if order == 0:
-                w = self(nodes) * weights
-            else:
-                pos = nodes > 0
-                w = self.derivative_fn(order)(nodes[pos]) * weights[pos]
-            w.setflags(write=False)
-            w = self._weights.setdefault(order, w)
+
+        Kept for the process per (mollifier, order) by functools.lru_cache, up
+        to 64 entries, least recently used dropped first; equal mollifiers
+        share them, so a ladder rung only evaluates f and takes one product.
+        A new order runs the derivative recurrence once.  Read-only.
+        """
+        nodes, weights = _gauss_legendre()
+        if order == 0:
+            w = self(nodes) * weights
+        else:
+            pos = nodes > 0
+            w = self.derivative_fn(order)(nodes[pos]) * weights[pos]
+        w.setflags(write=False)
         return w
 
 

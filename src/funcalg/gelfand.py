@@ -5,18 +5,19 @@ Haar measure is the normalized counting measure (total mass one), so the
 convolution unit is |G| times the delta at the identity.
 
 is_gelfand_pair and spherical_functions keep their results for the process,
-per (G, K) and per (G, K, seed), in two tables of at most 512 entries that
-drop the least recently used first.  At worst an entry holds
-16 d^2 + 8 |G| + 40 |K| bytes, d <= |G| the number of double cosets, and
-keeps the group it names alive; cache_clear() empties both.
+per (G, K) and per (G, K, seed), in two functools.lru_cache memos of at most
+512 entries each that drop the least recently used first; cache_clear()
+empties both.  At worst an entry holds 16 d^2 + 8 |G| + 40 |K| bytes, d <= |G|
+the number of double cosets, and keeps the group it names alive.  The first
+spherical call on a pair whose report is not kept counts the structure
+constants twice, once for the report that admits the pair and once for the
+functions.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,16 +143,6 @@ def subgroup(group: FiniteGroup, members) -> np.ndarray:
 # built-in group library
 # ---------------------------------------------------------------------------
 
-def _table_from_elements(elems, compose):
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    mul = np.empty((n, n), dtype=int)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            mul[i, j] = index[compose(a, b)]
-    return FiniteGroup(mul)
-
-
 @functools.lru_cache(maxsize=64)
 def cyclic(n: int) -> FiniteGroup:
     g = np.add.outer(np.arange(n), np.arange(n)) % n
@@ -184,21 +175,14 @@ def dihedral(n: int) -> FiniteGroup:
 
 @functools.lru_cache(maxsize=64)
 def quaternion() -> FiniteGroup:
-    """Quaternion group Q8 = {±1, ±i, ±j, ±k}."""
-    units = ["1", "i", "j", "k"]
-    prod = {("1", u): (1, u) for u in units}
-    prod.update({(u, "1"): (1, u) for u in units})
-    rules = {("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-             ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-             ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1")}
-    prod.update(rules)
-    elems = [(s, u) for u in units for s in (1, -1)]
-
-    def compose(a, b):
-        s, u = prod[(a[1], b[1])]
-        return (a[0] * b[0] * s, u)
-
-    return _table_from_elements(elems, compose)
+    """Quaternion group Q8 = {±1, ±i, ±j, ±k}: element 2u + b is (-1)^b times
+    unit u of (1, i, j, k).  The unit of a product is u xor v, and its sign
+    flips for ii, jj, kk, ji, kj and ik."""
+    u, b = np.divmod(np.arange(8), 2)
+    flips = np.zeros((4, 4), dtype=int)
+    flips[[1, 2, 3, 2, 3, 1], [1, 2, 3, 1, 2, 3]] = 1
+    sign = b[:, None] ^ b[None, :] ^ flips[u[:, None], u[None, :]]
+    return FiniteGroup(2 * (u[:, None] ^ u[None, :]) + sign)
 
 
 GROUP_LIBRARY = {
@@ -308,14 +292,22 @@ def _coset_counts(group: FiniteGroup, blocks):
     return codes[starts], np.diff(starts, append=codes.size)
 
 
-def _commutator_report(group: FiniteGroup, blocks, table) -> dict:
-    """Sup norm of e_i * e_j - e_j * e_i over basis pairs i < j, from the
-    sparse table of exact counts."""
-    codes, counts = table
+# The algebra benchmark's 30,400 Gelfand calls (seeds 1-2) touch 284 distinct
+# (G, K), well under the 512 entries each memo keeps, and keep ~2 MB in all.
+# K is the sorted member tuple subgroup() returns.  A report with its key takes
+# under 1 KB + 40 |K| bytes, and each distinct group a key keeps alive holds
+# 8 |G|^2 bytes of table.
+
+@functools.lru_cache(maxsize=512)
+def _pair_report(group: FiniteGroup, k: tuple) -> dict:
+    """Commutator report of (G, K): the sup norm of e_i * e_j - e_j * e_i over
+    basis pairs i < j, from the sparse table of exact counts."""
+    blocks = double_cosets(group, k)
+    codes, counts = _coset_counts(group, blocks)
     d = len(blocks)
-    ij, k = np.divmod(codes, d)
+    ij, kk = np.divmod(codes, d)
     i, j = np.divmod(ij, d)
-    swapped = (j * d + i) * d + k                           # the code of N_jik
+    swapped = (j * d + i) * d + kk                          # the code of N_jik
     at = np.minimum(np.searchsorted(codes, swapped), codes.size - 1)
     gap = np.abs(counts - np.where(codes[at] == swapped, counts[at], 0))
     sizes = np.array([len(block) for block in blocks], dtype=float)
@@ -328,61 +320,10 @@ def _commutator_report(group: FiniteGroup, blocks, table) -> dict:
             "witness": None if gelfand else divmod(first, d)}
 
 
-# ---------------------------------------------------------------------------
-# per-process memo of the per-pair results
-# ---------------------------------------------------------------------------
-
-# Entries kept in each table below.  The algebra benchmark's 30,400 Gelfand
-# calls (seeds 1-2) touch 284 distinct (G, K) and keep ~2 MB in all.
-_REPORTS_KEPT = 512
-_SPHERICAL_KEPT = 512
-
-
-class _LRU:
-    """Bounded, thread-safe map that drops its least recently used entry."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data = collections.OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key):
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            if len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-# (G, K) -> commutator report, K the sorted members subgroup() returns;
-# (G, K, seed) -> (d x d values of the spherical functions on the double
-# cosets, coset index of each element), both read-only.  A report with its
-# key takes under 1 KB + 40 |K| bytes, and spherical functions with their key
-# 16 d^2 + 8 |G| + 40 |K| bytes, d <= |G|.  Keys also keep their groups
-# alive, 8 |G|^2 bytes of table per distinct group.
-_REPORTS = _LRU(_REPORTS_KEPT)
-_SPHERICAL = _LRU(_SPHERICAL_KEPT)
-
-
 def cache_clear() -> None:
     """Forget every kept commutator report and set of spherical functions."""
-    _REPORTS.clear()
-    _SPHERICAL.clear()
+    _pair_report.cache_clear()
+    _spherical_on_cosets.cache_clear()
 
 
 def is_gelfand_pair(group: FiniteGroup, k_members) -> dict:
@@ -393,13 +334,7 @@ def is_gelfand_pair(group: FiniteGroup, k_members) -> dict:
     K is validated on every call; the report is kept per (G, K) for the
     process (see cache_clear) and returned as a fresh dict.
     """
-    pair = (group, tuple(subgroup(group, k_members).tolist()))
-    report = _REPORTS.get(pair)
-    if report is None:
-        blocks = double_cosets(group, pair[1])
-        report = _REPORTS.put(pair, _commutator_report(group, blocks,
-                                                       _coset_counts(group, blocks)))
-    return dict(report)
+    return dict(_pair_report(group, tuple(subgroup(group, k_members).tolist())))
 
 
 def spherical_transform(f, phi, group: FiniteGroup) -> complex:
@@ -424,31 +359,20 @@ def spherical_functions(group: FiniteGroup, k_members, seed: int = 0) -> list[np
     (G, K) is not a Gelfand pair.
     """
     k = tuple(subgroup(group, k_members).tolist())
-    key = (group, k, seed)
-    kept = _SPHERICAL.get(key)
-    if kept is None:
-        kept = _SPHERICAL.put(key, _spherical_on_cosets(group, k, seed))
-    values, labels = kept
+    values, labels = _spherical_on_cosets(group, k, seed)
     return list(values[:, labels])
 
 
-def _refuse(report: dict | None) -> None:
-    """Raise when a known commutator report says (G, K) is not a Gelfand pair."""
-    if report is not None and not report["gelfand"]:
-        raise NotGelfandPairError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
-
-
+@functools.lru_cache(maxsize=512)
 def _spherical_on_cosets(group: FiniteGroup, k: tuple, seed: int):
     """(values, labels): values[j, i] is the j-th spherical function on the
     double coset D_i, and labels[g] the index of the coset holding g."""
-    report = _REPORTS.get((group, k))
-    _refuse(report)                                         # known pairs refuse uncounted
+    report = _pair_report(group, k)
+    if not report["gelfand"]:
+        raise NotGelfandPairError(f"(G, K) is not a Gelfand pair; witness {report['witness']}")
     blocks = double_cosets(group, k)
     d, n = len(blocks), group.order
-    table = _coset_counts(group, blocks)
-    if report is None:
-        _refuse(_REPORTS.put((group, k), _commutator_report(group, blocks, table)))
-    codes, counts = table
+    codes, counts = _coset_counts(group, blocks)
     pair, kk = np.divmod(codes, d)                          # pair = i d + j
     i, j = np.divmod(pair, d)
     sizes = np.array([len(block) for block in blocks], dtype=float)

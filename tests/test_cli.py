@@ -294,8 +294,9 @@ class TestSuite:
         rec = json.loads(out.read_text())
         assert all(r["passed"] for r in rec["results"])
 
-    def test_unknown_suite_exit_2(self):
+    def test_unknown_suite_exit_2(self, capsys):
         assert run(["suite", "nope"]) == 2
+        assert capsys.readouterr().err == 'error: "unknown suite \'nope\'"\n'
 
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -622,30 +622,40 @@ class TestPairMemo:
         for _ in range(3):
             gelfand.spherical_functions(s4, k)
             gelfand.is_gelfand_pair(s4, k)
-        assert len(calls) == 1                   # the report came from the same count
+        assert len(calls) == 2                   # once for the report, once for the functions
         for _ in range(3):
             gelfand.spherical_functions(s4, k, seed=1)
             gelfand.spherical_functions(s4, k, seed=2)
-        assert len(calls) == 3                   # one count per new seed
+        assert len(calls) == 4                   # one count per new seed
         q8 = gelfand.quaternion()
         gelfand.is_gelfand_pair(q8, [q8.id])
         for _ in range(3):
             with pytest.raises(gelfand.NotGelfandPairError):
                 gelfand.spherical_functions(q8, [q8.id], seed=5)
-        assert len(calls) == 4                   # refused from the kept report
+        assert len(calls) == 5                   # refused from the kept report
 
     def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(gelfand._REPORTS, "maxsize", 3)
-        monkeypatch.setattr(gelfand._SPHERICAL, "maxsize", 2)
-        z8 = gelfand.cyclic(8)
-        for k in ([0], [0, 4], [0, 2, 4, 6], list(range(8))):
-            gelfand.is_gelfand_pair(z8, k)
-            gelfand.spherical_functions(z8, k)
-        assert len(gelfand._REPORTS) == 3
-        assert len(gelfand._SPHERICAL) == 2
-        assert gelfand._REPORTS.get((z8, (0,))) is None          # the oldest went first
-        assert gelfand._REPORTS.get((z8, (0, 4))) is not None
-        assert gelfand.is_gelfand_pair(z8, [0])["gelfand"]
+        # the first 513 pairs (Z_n, subgroup of index i), i | n, for n = 1, 2, ...
+        pairs = list(itertools.islice(
+            ((gelfand.cyclic(n), list(range(0, n, i)))
+             for n in itertools.count(1) for i in range(1, n + 1) if n % i == 0), 513))
+        for group, k in pairs:
+            gelfand.is_gelfand_pair(group, k)
+        assert gelfand._pair_report.cache_info().currsize == 512
+        assert gelfand._spherical_on_cosets.cache_info().maxsize == 512
+        calls = []
+        count = gelfand._coset_counts
+
+        def counting(group, blocks):
+            calls.append(len(blocks))
+            return count(group, blocks)
+
+        monkeypatch.setattr(gelfand, "_coset_counts", counting)
+        gelfand.is_gelfand_pair(*pairs[-1])
+        gelfand.is_gelfand_pair(*pairs[1])
+        assert calls == []                       # the newest and the second oldest are kept
+        assert gelfand.is_gelfand_pair(*pairs[0])["gelfand"]
+        assert len(calls) == 1                   # the oldest went first
 
     def test_hash_kept_from_construction(self):
         s5 = gelfand.symmetric(5)

@@ -153,3 +153,31 @@ def test_all_prefixes_each_suite_in_table_order(monkeypatch):
     assert suites.run_suite("all", seed=4) == [
         {"name": "a: x", "passed": True, "detail": {}},
         {"name": "b: y", "passed": False, "detail": {"seed": 4}}]
+
+
+def test_records_name_the_thresholds_their_pass_tests_use():
+    records = by_name(suites.run_suite("all", seed=0))
+
+    def detail(name):
+        return records[name]["passed"], records[name]["detail"]
+
+    passed, d = detail("hardy: Hardy-Toeplitz adjoint")
+    assert d["tolerance"] == 0.0 and passed is (d["max_error"] <= d["tolerance"])
+    passed, d = detail("gelfand: convolution unit and associativity")
+    assert d["tolerance"] == 1e-12
+    assert passed is (max(d["unit_error"], d["associativity_error"]) < d["tolerance"])
+    passed, d = detail("gelfand: Z4 spherical functions are the characters")
+    assert d["decimals"] == 9 and passed
+    passed, d = detail("lie: flow-commutator first-order convergence")
+    assert d["threshold"] == 0.9 and passed is (d["slope"] >= d["threshold"])
+    for q in (0, 2, 4):
+        passed, d = detail(f"colombeau: mollifier q={q} moments")
+        assert (d["mass_tolerance"], d["tolerance"]) == (1e-10, 1e-9)
+        assert passed is (d["mass_error"] < d["mass_tolerance"]
+                          and d["max_moment"] < d["tolerance"])
+    passed, d = detail("colombeau: product defect nonzero for |t| pair (non-subalgebra)")
+    assert (d["threshold"], d["coarse_threshold"]) == (1e-10, 1e-9)
+    assert passed is (d["min_defect"] > d["threshold"]
+                      and d["defect_at_2pow_minus4"] > d["coarse_threshold"])
+    passed, d = detail("colombeau: exact power-law slope")
+    assert d["tolerance"] == 0.01 and passed and abs(d["slope"] - 3.0) <= d["tolerance"]
