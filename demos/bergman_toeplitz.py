@@ -7,20 +7,28 @@ Run with: python3 demos/bergman_toeplitz.py
 import numpy as np
 
 from funcalg import bergman
-from funcalg.numcore import HoloPoly, build_disc_quadrature, sample
+from funcalg.numcore import HoloPoly, build_disc_quadrature, node_grid, sample
 
 print("=== disc quadrature ===")
 q = build_disc_quadrature(alpha=0.0, n_rad=64, n_ang=256)
-print(f"total mass: {np.sum(q.weights):.15f}  (area measure normalized to 1)")
+u = node_grid(q.nodes, q)
+
+
+def integral(values):
+    """Radial rule over the per-radius angular means: the integral against dA."""
+    return q.radial_weights @ np.mean(values, axis=1)
+
+
+print(f"total mass: {np.sum(q.radial_weights):.15f}  (area measure normalized to 1)")
 for k in range(4):
-    mk = np.sum(q.weights * np.abs(q.nodes) ** (2 * k))
+    mk = integral(np.abs(u) ** (2 * k))
     print(f"moment of |z|^{2 * k}: {mk:.12f}  (exact 1/{k + 1})")
 
 print("\n=== reproducing kernel ===")
 f = HoloPoly([1.0, 2.0 - 1.0j, 0.5])
 z = 0.4 - 0.2j
-kernel_vals = 1.0 / (1.0 - z * np.conj(q.nodes)) ** 2
-reproduced = np.sum(q.weights * f(q.nodes) * kernel_vals)
+kernel_vals = 1.0 / (1.0 - z * np.conj(u)) ** 2
+reproduced = integral(f(u) * kernel_vals)
 print(f"f({z}) = {f(z):.12f}")
 print(f"kernel integral = {reproduced:.12f}")
 

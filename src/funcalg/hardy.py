@@ -15,6 +15,7 @@ from .numcore import (
     OperatorMatrix,
     boundary_fourier,
     boundary_points,
+    circle_mean,
 )
 
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -28,8 +29,7 @@ def hardy_norm(f: HoloPoly, p: float, radii=RADIUS_LADDER) -> float:
     if np.any(radii <= 0) or np.any(radii >= 1):
         raise ValueError("radii must lie in (0, 1)")
     ring = boundary_points(512)
-    means = [np.mean(np.abs(f(r * ring)) ** p) ** (1.0 / p) for r in radii]
-    return float(max(means))
+    return float(max(circle_mean(f(r * ring), p) ** (1.0 / p) for r in radii))
 
 
 def hardy_norm_parseval(f: HoloPoly, r: float) -> float:
@@ -84,7 +84,7 @@ def poisson_reproduce(f: HoloPoly, z: complex) -> complex:
 
 
 def subharmonic_check(f: HoloPoly, z: complex, p: float) -> dict:
-    """Report on |f(z)|^p <= Poisson average of |f|^p over the boundary."""
+    """Report on |f(z)|^p <= Poisson average of |f|^p; ``tolerance`` is relative to rhs."""
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     if abs(z) > 0.9:
@@ -92,7 +92,8 @@ def subharmonic_check(f: HoloPoly, z: complex, p: float) -> dict:
     xi = boundary_points(256)
     lhs = abs(f(z)) ** p
     rhs = float(np.mean(poisson_kernel(z, xi) * np.abs(f(xi)) ** p))
-    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-8)}
+    tol = 1e-8
+    return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + tol)), "tolerance": tol}
 
 
 def hardy_toeplitz(phi_hat: np.ndarray, n: int) -> OperatorMatrix:

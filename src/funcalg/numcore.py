@@ -80,9 +80,10 @@ class HoloPoly:
 class DiscQuadrature:
     """Tensor quadrature for the probability measure (alpha+1)(1-|z|^2)^alpha dA.
 
-    ``nodes``/``weights`` are flat arrays of length n_rad * n_ang; the tensor
-    structure (radius-major) is retained in ``radii``, ``angles`` so that
-    per-radius angular operations remain possible.
+    The radial rule (``radii``, ``radial_weights``, summing to one) times the
+    mean over the equispaced ``angles``: samples v integrate to
+    ``radial_weights @ node_grid(v, q).mean(axis=1)``.  ``nodes`` is flat,
+    radius-major, of length n_rad * n_ang.
     """
 
     alpha: float
@@ -92,12 +93,6 @@ class DiscQuadrature:
     radial_weights: np.ndarray = field(repr=False)
     angles: np.ndarray = field(repr=False)
     nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-
-
-def weight_normalizer(alpha: float) -> float:
-    """Normalizing constant of the weighted measure; equals alpha + 1 on the disc."""
-    return alpha + 1.0
 
 
 def radial_moment(alpha: float, k: int) -> float:
@@ -142,27 +137,30 @@ def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadratur
     # Jacobi weight (1-x)^alpha dx on [-1, 1] to 2^(alpha+1) (1-s)^alpha ds
     x, w = gauss_jacobi(n_rad, alpha)
     r = np.sqrt(0.5 * (x + 1.0))
-    radial_weights = weight_normalizer(alpha) * w / 2.0 ** (alpha + 1.0)
+    radial_weights = (alpha + 1.0) * w / 2.0 ** (alpha + 1.0)
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
-
     nodes = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    weights = np.repeat(radial_weights / n_ang, n_ang)
     return DiscQuadrature(alpha=float(alpha), n_rad=n_rad, n_ang=n_ang,
                           radii=r, radial_weights=radial_weights,
-                          angles=angles, nodes=nodes, weights=weights)
+                          angles=angles, nodes=nodes)
 
 
 def inner_product(f, g, q: DiscQuadrature) -> complex:
-    """<f, g> = sum w_i f(z_i) conj(g(z_i)) on the quadrature nodes."""
-    return complex(np.sum(q.weights * node_vector(f, q) * np.conj(node_vector(g, q))))
+    """<f, g>: the radial rule over the per-radius angular means of f conj(g)."""
+    return complex(q.radial_weights @ np.mean(node_grid(f, q) * np.conj(node_grid(g, q)), axis=1))
 
 
-def node_vector(f, q: DiscQuadrature) -> np.ndarray:
-    """f as one complex sample per node of q, flat; GridError if the count differs."""
-    f = np.asarray(f, dtype=complex).ravel()
-    if f.shape != q.nodes.shape:
+def node_grid(f, q: DiscQuadrature) -> np.ndarray:
+    """f as (n_rad, n_ang) complex samples, a view where possible; GridError on a count mismatch."""
+    f = np.asarray(f, dtype=complex)
+    if f.size != q.nodes.size:
         raise GridError("sample vector must match the node count")
-    return f
+    return f.reshape(q.n_rad, q.n_ang)
+
+
+def circle_mean(v, p: float) -> np.ndarray:
+    """mean(|v|^p) over the last axis: M_p^p of each ring of equispaced circle samples."""
+    return np.mean(np.abs(v) ** p, axis=-1)
 
 
 def sample(func, q: DiscQuadrature) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from funcalg import bergman, numcore
+from funcalg import bergman, numcore, suites
 from funcalg.numcore import GridError, HoloPoly, build_disc_quadrature, sample
 
 
@@ -36,8 +36,9 @@ class TestKernel:
         # oracle: f(z) = integral f(u) K(z, u) dA(u)
         f = HoloPoly([1.0, 2.0 - 1j, 0.5])
         z = 0.4 - 0.2j
-        kernel_vals = 1.0 / (1.0 - z * np.conj(quad.nodes)) ** 2
-        val = np.sum(quad.weights * f(quad.nodes) * kernel_vals)
+        u = numcore.node_grid(quad.nodes, quad)
+        kernel_vals = 1.0 / (1.0 - z * np.conj(u)) ** 2
+        val = quad.radial_weights @ np.mean(f(u) * kernel_vals, axis=1)
         assert val == pytest.approx(f(z), abs=1e-8)
 
 
@@ -234,6 +235,43 @@ class TestSubmultiplicativity:
         assert rep["rhs"] == pytest.approx(0.5, abs=1e-9)
         assert rep["holds"] is False
         assert rep["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_radial_pair_fails_at_every_scale(self, quad, scale):
+        # |z|^16 puts its mass on a thin band of radii: the per-radius inequality
+        # fails, and a relative tolerance keeps that answer when both are scaled
+        f = sample(lambda z: scale * np.abs(z) ** 16, quad)
+        for p in (1.0, 2.0):
+            rep = bergman.check_convolution_submultiplicative(f, f, p, quad)
+            assert rep["lhs"] > 2.0 * rep["rhs"]
+            assert rep["holds"] is False
+
+    @pytest.mark.parametrize("norms,holds", [
+        ((1e-12 * (1 + 1e-8), 1e-6, 1e-6), False),    # 1e-20 over, but 1e-8 relative
+        ((1e6 * (1 + 1e-10), 1e3, 1e3), True),         # 1e-4 over, but 1e-10 relative
+    ])
+    def test_tolerance_is_relative(self, quad, monkeypatch, norms, holds):
+        # bergman_norm is called for f*g, then f, then g
+        values = iter(norms)
+        monkeypatch.setattr(bergman, "bergman_norm", lambda f, p, q: next(values))
+        ones = np.ones((quad.n_rad, quad.n_ang), dtype=complex)
+        rep = bergman.check_convolution_submultiplicative(ones, ones, 2.0, quad)
+        assert rep["tolerance"] == 1e-9 and rep["holds"] is holds
+
+    def test_tiled_rings_match_the_circle_check(self, quad):
+        # on radius-independent data the radial weights (summing to 1) drop
+        # out: the disc check equals the suite's one-ring check on the circle
+        rng = np.random.default_rng(7)
+        chars = np.exp(1j * np.outer(np.arange(-6, 7), quad.angles))
+        for p in (1.0, 2.0, 4.0):
+            for _ in range(5):
+                f, g = ((rng.standard_normal(13) + 1j * rng.standard_normal(13)) @ chars
+                        for _ in range(2))
+                rep = bergman.check_convolution_submultiplicative(
+                    np.tile(f, (quad.n_rad, 1)), np.tile(g, (quad.n_rad, 1)), p, quad)
+                lhs, rhs = suites._circle_norms(f, g, p)
+                assert rep["lhs"] == pytest.approx(lhs, rel=1e-14, abs=0)
+                assert rep["rhs"] == pytest.approx(rhs, rel=1e-14, abs=0)
 
     def test_radius_independent_pair_holds(self, quad):
         rng = np.random.default_rng(2)

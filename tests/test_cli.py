@@ -80,6 +80,15 @@ class TestConvolution:
         assert run(["convolution", "--f", "1", "--g", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["holds"] is True
 
+    @pytest.mark.parametrize("symbol", ["abs2(z)^8", "1e-5*abs2(z)^8"])
+    def test_radial_pair_exit_1_at_any_scale(self, tmp_path, symbol):
+        # the per-radius inequality is false for radius-dependent data, and the
+        # relative tolerance keeps that answer when both inputs are scaled
+        out = tmp_path / "conv.json"
+        assert run(["convolution", "--f", symbol, "--g", symbol, "--out", str(out)]) == 1
+        rec = json.loads(out.read_text())
+        assert rec["holds"] is False and rec["lhs"] > 2.0 * rec["rhs"]
+
     def test_strict_paper_extra_field(self, tmp_path):
         out = tmp_path / "conv.json"
         run(["convolution", "--f", "1", "--g", "1", "--strict-paper",

@@ -87,6 +87,22 @@ class TestReproduction:
             rep = hardy.subharmonic_check(f, 0.3 + 0.2j, p)
             assert rep["holds"]
 
+    def test_subharmonic_large_constant_holds(self):
+        # |f|^p is constant: lhs 1e18 and rhs 9.999999999999999e17 differ by
+        # rounding only, far above any absolute slack but within the relative one
+        f = HoloPoly([1e6 * (0.6 + 0.8j)])
+        rep = hardy.subharmonic_check(f, -0.7j, 3.0)
+        assert rep["lhs"] == pytest.approx(1e18, rel=1e-15)
+        assert rep["rhs"] == pytest.approx(rep["lhs"], rel=1e-14)
+        assert rep["holds"] is True and rep["tolerance"] == 1e-8
+
+    def test_subharmonic_tolerance_is_relative(self, monkeypatch):
+        # a Poisson average 2e-8 relative below |f(z)|^p fails at any scale
+        monkeypatch.setattr(hardy, "poisson_kernel", lambda z, xi: np.full(len(xi), 1 - 2e-8))
+        f = HoloPoly([1.0])
+        for c in (1e-6, 1.0, 1e6):
+            assert hardy.subharmonic_check(c * f, 0.2, 2.0)["holds"] is False
+
     def test_degree_guard(self):
         f = HoloPoly(np.ones(100))
         with pytest.raises(ValueError):

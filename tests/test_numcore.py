@@ -12,11 +12,18 @@ from funcalg.numcore import (
     boundary_points,
     boundary_synthesis,
     build_disc_quadrature,
+    circle_mean,
     gauss_jacobi,
     inner_product,
+    node_grid,
     radial_moment,
     sample,
 )
+
+
+def disc_integral(values, q):
+    """Integral of grid samples against dA_alpha: radial rule over angular means."""
+    return q.radial_weights @ np.mean(node_grid(values, q), axis=1)
 
 
 class TestHoloPoly:
@@ -74,18 +81,18 @@ class TestHoloPoly:
 class TestDiscQuadrature:
     def test_probability_mass(self):
         q = build_disc_quadrature(0.0, 16, 32)
-        assert np.sum(q.weights) == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(q.radial_weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_for_weighted(self):
         # Gauss-Jacobi in s = r^2 carries the weight (1-s)^alpha itself, so the
         # mass is exact up to rounding for integral and fractional alpha alike
         for alpha in [1.0, 2.0, 3.0, 0.5, 3.5]:
             q = build_disc_quadrature(alpha, 32, 32)
-            assert np.sum(q.weights) == pytest.approx(1.0, abs=1e-12)
+            assert np.sum(q.radial_weights) == pytest.approx(1.0, abs=1e-12)
 
     def test_moment_alpha0(self):
         q = build_disc_quadrature(0.0, 32, 64)
-        val = np.sum(q.weights * np.abs(q.nodes) ** 2)
+        val = disc_integral(np.abs(q.nodes) ** 2, q)
         # oracle: 2 * int_0^1 r^3 dr = 1/2
         assert val == pytest.approx(0.5, abs=1e-10)
 
@@ -99,7 +106,7 @@ class TestDiscQuadrature:
             # quad's default epsabs (1.5e-8) is too loose for a 1e-12 check
             oracle, _ = quad(lambda r: c * (1 - r * r) ** alpha * 2 * r ** (2 * k + 1),
                              0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-            val = np.sum(q.weights * np.abs(q.nodes) ** (2 * k))
+            val = disc_integral(np.abs(q.nodes) ** (2 * k), q)
             assert val == pytest.approx(oracle, abs=tol)
             assert radial_moment(alpha, k) == pytest.approx(oracle, abs=1e-9)
 
@@ -175,9 +182,34 @@ class TestInnerProduct:
         # monomials z^j conj(z)^k integrate to delta_jk / (j+1) at alpha = 0
         for j in range(7):
             for k in range(7):
-                val = np.sum(self.q.weights * self.q.nodes ** j * np.conj(self.q.nodes) ** k)
+                val = disc_integral(self.q.nodes ** j * np.conj(self.q.nodes) ** k, self.q)
                 expected = 1.0 / (j + 1) if j == k else 0.0
                 assert val == pytest.approx(expected, abs=1e-10)
+
+
+class TestNodeGridAndCircleMean:
+    q = build_disc_quadrature(0.0, 8, 16)
+
+    def test_node_grid_is_a_radius_major_view(self):
+        grid = node_grid(self.q.nodes, self.q)
+        assert grid.shape == (8, 16) and np.shares_memory(grid, self.q.nodes)
+        np.testing.assert_allclose(np.abs(grid[:, 3]), self.q.radii, rtol=1e-15)
+
+    def test_node_grid_count_mismatch(self):
+        with pytest.raises(GridError, match="node count"):
+            node_grid(np.ones(8 * 16 + 1), self.q)
+
+    def test_circle_mean_per_ring(self):
+        # oracle: |r e^(i theta)|^p = r^p on every point of ring r
+        grid = node_grid(self.q.nodes, self.q)
+        for p in (1.0, 2.5):
+            np.testing.assert_allclose(circle_mean(grid, p), self.q.radii ** p, rtol=1e-14)
+
+    def test_circle_mean_of_trig_polynomial(self):
+        # oracle: Parseval, mean |sum c_k e^(i k theta)|^2 = sum |c_k|^2
+        ring = boundary_points(64)
+        v = 2.0 + 1j * ring ** 3 - 0.5 * ring ** -5
+        assert circle_mean(v, 2.0) == pytest.approx(4.0 + 1.0 + 0.25, rel=1e-14)
 
 
 class TestBoundaryFourier:

@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from funcalg import colombeau, gelfand, hardy, suites
+from funcalg import bergman, colombeau, gelfand, hardy, suites
 
 
 def by_name(records):
@@ -95,6 +95,14 @@ class TestFaultsShow:
                             lambda c, n: type(toeplitz(c, n))(toeplitz(c, n).entries.T))
         rec = by_name(suites.hardy_suite(seed=0))["Hardy-Toeplitz linearity"]
         assert rec["passed"] is False and rec["detail"]["max_error"] > 1.0
+
+    def test_inflated_convolution_fails_the_circle_sweep(self, monkeypatch):
+        convolve = bergman.circle_convolution
+        monkeypatch.setattr(bergman, "circle_convolution",
+                            lambda f, g: type(f)(3.0 * convolve(f, g).samples))
+        rec = by_name(suites.bergman_suite(seed=0))["convolution norm submultiplicativity"]
+        assert rec["passed"] is False and rec["detail"]["worst_gap"] > 0.0
+        assert rec["detail"]["checked_on"] == "circle, 256 points"
 
     def test_inflated_seminorm_fails_gelfand_sweep(self, monkeypatch):
         seminorm = gelfand.phi_seminorm
