@@ -96,6 +96,25 @@ class TestConvolution:
         rec = json.loads(out.read_text())
         assert "lhs_strict_paper" in rec
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_strict_paper_constants_read_c_squared(self, tmp_path, c, p):
+        # f = g = c convolve to c^2 on every ring, so every circle norm is c^2
+        # and the radial weights have unit mass
+        out = tmp_path / "conv.json"
+        run(["convolution", "--f", str(c), "--g", str(c), "--p", str(p), "--strict-paper",
+             "--out", str(out)])
+        rec = json.loads(out.read_text())
+        assert rec["lhs_strict_paper"] == pytest.approx(c * c, rel=1e-13)
+
+    @pytest.mark.parametrize("f, g", [("3", "3"), ("1 + 2*z", "conj(z) - 0.5*abs2(z)")])
+    def test_strict_paper_equals_lhs_at_p1(self, tmp_path, f, g):
+        out = tmp_path / "conv.json"
+        run(["convolution", "--f", f, "--g", g, "--p", "1", "--strict-paper",
+             "--out", str(out)])
+        rec = json.loads(out.read_text())
+        assert rec["lhs_strict_paper"] == pytest.approx(rec["lhs"], rel=1e-13)
+
 
 class TestBlochHardy:
     def test_bloch_z_squared(self, tmp_path):
@@ -518,3 +537,78 @@ def test_cli_runs_with_scipy_blocked(argv):
                           env=_checkout_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# layers load on first use: each check runs in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('funcalg.'))"
+BASE = ["cli", "io", "numcore"]
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_checkout_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_bare_import_loads_no_layer_and_no_numpy():
+    proc = _python("import sys, funcalg; "
+                   "print([m for m in sys.modules if m.split('.')[0] in ('funcalg', 'numpy')])")
+    assert proc.stdout.strip() == "['funcalg']"
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["hardy", "kernel", "--z=0.1+0.2i", "--xi=1"], "hardy"),
+    (["toeplitz", "--symbol", "z*conj(z)", "--cutoff", "3"], "bergman"),
+    (["bloch", "--poly", "0,0,1"], "bloch"),
+    (["colombeau", "rate", "--f", "abs", "--alpha", "1"], "colombeau"),
+    (["lie", "bracket", "--fields", "{fields}"], "liefields"),
+    (["gelfand", "check", "--group", "s3", "--subgroup", "0,1"], "gelfand"),
+], ids=["hardy-kernel", "toeplitz", "bloch", "colombeau-rate", "lie-bracket",
+        "gelfand-check"])
+def test_subcommand_loads_only_its_layer(argv, layer, tmp_path):
+    fields = write_fields(tmp_path, {"dim": 2, "fields": [[{"0,1": 1}, {"0,0": 0}],
+                                                          [{"0,0": 0}, {"1,0": 1}]]})
+    argv = [a.format(fields=fields) for a in argv] + ["--out", str(tmp_path / "out")]
+    proc = _python(f"import sys, funcalg.cli; code = funcalg.cli.main({argv!r}); "
+                   f"print(code, {LOADED})")
+    assert proc.stdout.strip() == f"0 {sorted(BASE + [layer])}"
+
+
+@pytest.mark.parametrize("layer", funcalg.__all__)
+def test_layer_attribute_after_bare_import(layer):
+    proc = _python(f"import sys, funcalg; m = funcalg.{layer}; "
+                   f"print(m is sys.modules['funcalg.{layer}'], m.__name__)")
+    assert proc.stdout.split() == ["True", f"funcalg.{layer}"]
+
+
+@pytest.mark.parametrize("name", ["nosuch", "suites", "cli"])
+def test_unknown_attribute_raises_attribute_error(name):
+    # suites and cli are submodules but not layers: they stay plain imports
+    proc = _python(f"import sys, funcalg\n"
+                   f"try:\n    funcalg.{name}\n"
+                   f"except AttributeError as exc:\n    print(exc, {LOADED})")
+    assert proc.stdout.strip() == f"module 'funcalg' has no attribute '{name}' []"
+
+
+def _cli(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "funcalg.cli", *argv], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=60)
+
+
+def test_field_error_exit_1_in_fresh_process(tmp_path):
+    # a coefficient past float range: liefields raises FieldError, which main
+    # reports as a numerical failure although the layer loaded after main began
+    path = write_fields(tmp_path, {"dim": 1, "fields": [[{"1": "1" + "0" * 400}], [{"0": 1}]]})
+    proc = _cli("lie", "flows", "--fields", path, "--point", "0.5")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "numerical failure: coefficient too large for a float flow\n"
+
+
+def test_non_gelfand_spherical_exit_1_in_fresh_process():
+    proc = _cli("gelfand", "spherical", "--group", "s4", "--subgroup", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("property violated: ") and proc.stderr.count("\n") == 1

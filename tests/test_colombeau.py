@@ -350,6 +350,17 @@ class TestL1Embedding:
         assert rep["l1_norm"] == pytest.approx(4.0, abs=1e-10)
         assert rep["sup_value"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_inflated_sup_fails_at_small_scale(self, m2):
+        # the kernel is m2, but its recorded sup is 1000 times too small, so the
+        # sup exceeds the bound ~10 times; at 1e-14 scale that excess is far
+        # below an absolute slack of 1e-12, which would have let it hold
+        understated = Mollifier(m2.q, m2.correction, m2.grid, m2.samples / 1000)
+        rep = l1_embedding_bound(lambda t: 1e-14 * catalog("const")(t), understated, 2 ** -4)
+        bound = rep["c"] * rep["l1_norm"]
+        assert bound < rep["sup_value"] < bound + 1e-12
+        assert rep["holds"] is False and rep["tolerance"] == 1e-12
+        assert l1_embedding_bound(lambda t: 1e-14 * catalog("const")(t), m2, 2 ** -4)["holds"]
+
 
 L1_CATALOG = ["const", "poly:2", "poly:3", "abs", "heaviside", "exp", "sin", "spike:0.25"]
 
@@ -369,7 +380,7 @@ class TestL1EmbeddingWindow:
             assert rep["sup_value"] == pytest.approx(dense, rel=1e-13, abs=0)
             assert rep["l1_norm"] == l1_norm
             assert rep["c"] == m.sup / eps
-            assert rep["holds"] == bool(dense <= rep["c"] * l1_norm + 1e-12)
+            assert rep["holds"] == bool(dense <= rep["c"] * l1_norm * (1 + rep["tolerance"]))
 
     @pytest.mark.parametrize("q", [0, 2, 4])
     @pytest.mark.parametrize("j", range(1, 7))
