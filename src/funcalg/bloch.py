@@ -115,7 +115,7 @@ def little_bloch_test(f: HoloPoly, radii) -> bool:
     """True iff the invariant gradient decays along the given radius ladder.
 
     Requires the per-radius maxima over 256 angles to be eventually decreasing
-    and the value at the largest radius to fall below 1e-3.
+    (up to 1e-12 of the largest) and the value at the largest radius below 1e-3.
     """
     radii = np.asarray(radii, dtype=float)
     if not (np.all(np.diff(radii) > 0) and radii.max() < 1):
@@ -123,7 +123,7 @@ def little_bloch_test(f: HoloPoly, radii) -> bool:
     theta = 2.0 * np.pi * np.arange(256) / 256
     maxima = (1.0 - radii ** 2) * _row_maxima(f.derivative(), radii, theta)[0]
     tail = maxima[len(maxima) // 2:]
-    eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12))
+    eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 * np.max(tail)))
     return bool(maxima[-1] < 1e-3 and eventually_decreasing)
 
 

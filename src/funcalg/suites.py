@@ -542,7 +542,8 @@ def colombeau_suite(seed: int = 0) -> list[dict]:
             for name in ("const", "abs", "spike:0.01")}
     out.append(_rec("L1 embedding sup bound", all(r["holds"] for r in reps.values()),
                     ratios={name: r["sup_value"] / (r["c"] * r["l1_norm"])
-                            for name, r in reps.items()}))
+                            for name, r in reps.items()},
+                    **{key: reps["const"][key] for key in ("cells", "k_points", "tolerance")}))
     return out
 
 

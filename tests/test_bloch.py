@@ -98,7 +98,7 @@ def _ring_loop_little_bloch(f, radii):
     fp = f.derivative()
     maxima = np.array([np.max((1.0 - r ** 2) * np.abs(fp(r * ring))) for r in radii])
     tail = maxima[len(maxima) // 2:]
-    return bool(maxima[-1] < 1e-3 and np.all(np.diff(tail) <= 1e-12))
+    return bool(maxima[-1] < 1e-3 and np.all(np.diff(tail) <= 1e-12 * np.max(tail)))
 
 
 class TestMatrixProductEvaluator:
@@ -214,6 +214,19 @@ class TestLittleBloch:
     def test_rejects_unordered_radii(self):
         with pytest.raises(ValueError):
             bloch.little_bloch_test(HoloPoly([0, 1]), [0.9, 0.5])
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-14, 1e-20])
+    def test_increasing_tail_fails_at_any_scale(self, scale):
+        # (1 - r^2) |(c z^20)'| = 20 |c| r^19 (1 - r^2) increases up to r^2 = 19/21,
+        # so the tail over 0.5 .. 0.9 increases however small c is
+        coeffs = np.zeros(21)
+        coeffs[20] = scale
+        assert not bloch.little_bloch_test(HoloPoly(coeffs), np.linspace(0.1, 0.9, 9))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-20])
+    def test_decreasing_tail_holds_at_any_scale(self, scale):
+        radii = np.concatenate([np.linspace(0.1, 0.9, 9), [0.99, 0.999, 0.99999]])
+        assert bloch.little_bloch_test(HoloPoly([scale, 2 * scale, 3 * scale]), radii)
 
 
 class TestMultiplier:

@@ -337,6 +337,13 @@ class TestDefectRates:
         assert rep.slope == pytest.approx(-1.0, abs=0.2)
 
 
+# name, integral of |f| over [-2, 2], max |f''| on either side of 0
+L1_ORACLE = [("const", 4.0, 0.0), ("poly:2", 16 / 3, 2.0), ("poly:5", 64 / 3, 160.0),
+             ("abs", 4.0, 0.0), ("heaviside", 2.0, 0.0),
+             ("exp", math.e ** 2 - math.e ** -2, math.e ** 2),
+             ("sin", 2 * (1 - math.cos(2.0)), 1.0), ("spike:0.01", 1.0, 0.0)]
+
+
 class TestL1Embedding:
     @pytest.mark.parametrize("name", ["const", "abs", "spike:0.01"])
     def test_bound_holds(self, name, m2):
@@ -348,7 +355,16 @@ class TestL1Embedding:
         rep = l1_embedding_bound(catalog("const"), m2, 2 ** -4)
         # ||1||_L1 on [-2, 2] is 4 and the regularization of 1 is 1
         assert rep["l1_norm"] == pytest.approx(4.0, abs=1e-10)
-        assert rep["sup_value"] == pytest.approx(1.0, abs=1e-3)
+        assert rep["sup_value"] == pytest.approx(1.0, abs=1e-13)
+        assert (rep["cells"], rep["k_points"], rep["tolerance"]) == (20000, 201, 1e-12)
+
+    @pytest.mark.parametrize("name, exact, f2", L1_ORACLE)
+    def test_l1_norm_closed_form(self, name, exact, f2, m2):
+        # 0 and +-0.005 are cell edges, so |f| is smooth on every cell and the
+        # midpoint rule is off by at most (b - a) du^2 max|f''| / 24
+        rep = l1_embedding_bound(catalog(name), m2, 2 ** -4)
+        du = 4.0 / rep["cells"]
+        assert abs(rep["l1_norm"] - exact) <= 4.0 * du ** 2 * f2 / 24 + 1e-13 * exact
 
     def test_inflated_sup_fails_at_small_scale(self, m2):
         # the kernel is m2, but its recorded sup is 1000 times too small, so the
@@ -366,17 +382,18 @@ L1_CATALOG = ["const", "poly:2", "poly:3", "abs", "heaviside", "exp", "sin", "sp
 
 
 class TestL1EmbeddingWindow:
-    """The windowed sum against the dense kernel m((k - u)/eps)/eps on every u."""
+    """The one-kernel sum against the dense kernel m((k - u)/eps)/eps on every
+    midpoint u of the 20000-cell grid of [-2, 2], for each k in K."""
 
-    def _compare(self, m, eps, k_grid, support, n_fine=20001):
-        du = (support[1] - support[0]) / n_fine
-        u = support[0] + du * (np.arange(n_fine) + 0.5)
-        kernel = m((k_grid[:, None] - u[None, :]) / eps) / eps
+    u = -2.0 + 2e-4 * (np.arange(20000) + 0.5)
+
+    def _compare(self, m, eps):
+        kernel = m((np.linspace(-1.0, 1.0, 201)[:, None] - self.u[None, :]) / eps) / eps
         for name in L1_CATALOG:
-            fu = np.asarray(catalog(name)(u), dtype=float)
-            dense = float(np.max(np.abs(kernel @ fu * du)))
-            l1_norm = float(np.sum(np.abs(fu)) * du)
-            rep = l1_embedding_bound(catalog(name), m, eps, k_grid=k_grid, support=support)
+            fu = np.asarray(catalog(name)(self.u), dtype=float)
+            dense = float(np.max(np.abs(kernel @ fu * 2e-4)))
+            l1_norm = float(np.sum(np.abs(fu)) * 2e-4)
+            rep = l1_embedding_bound(catalog(name), m, eps)
             assert rep["sup_value"] == pytest.approx(dense, rel=1e-13, abs=0)
             assert rep["l1_norm"] == l1_norm
             assert rep["c"] == m.sup / eps
@@ -385,13 +402,34 @@ class TestL1EmbeddingWindow:
     @pytest.mark.parametrize("q", [0, 2, 4])
     @pytest.mark.parametrize("j", range(1, 7))
     def test_matches_dense_kernel(self, q, j):
-        self._compare(build_mollifier(q), 2.0 ** -j, np.linspace(-1.0, 1.0, 201), (-2.0, 2.0))
+        self._compare(build_mollifier(q), 2.0 ** -j)
 
-    def test_windows_past_the_grid_ends(self, m2):
-        self._compare(m2, 0.5, np.linspace(-1.4, 1.4, 201), (-1.5, 1.5))
+    def test_eps_one_stays_inside_the_grid(self, m2):
+        # the windows at x = -1 and x = 1 reach the first and the last cell
+        self._compare(m2, 1.0)
+
+    def test_mollifier_called_on_width_points_only(self, m2):
+        calls = []
+
+        class Counting(Mollifier):
+            def __call__(self, t):
+                calls.append(np.size(t))
+                return super().__call__(t)
+
+        counting = Counting(m2.q, m2.correction, m2.grid, m2.samples)
+        for j in range(7):
+            calls.clear()
+            l1_embedding_bound(catalog("sin"), counting, 2.0 ** -j)
+            # x = 0 is a cell edge: width counts the midpoints within eps of it
+            assert calls == [np.count_nonzero(np.abs(self.u) < 2.0 ** -j)]
 
     @pytest.mark.parametrize("eps", [0.0, -0.25, float("nan")])
     def test_rejects_nonpositive_eps(self, m2, eps):
+        with pytest.raises(ValueError, match="eps"):
+            l1_embedding_bound(catalog("const"), m2, eps)
+
+    @pytest.mark.parametrize("eps", [1.0 + 2 ** -52, 2.0, float("inf")])
+    def test_rejects_eps_above_one(self, m2, eps):
         with pytest.raises(ValueError, match="eps"):
             l1_embedding_bound(catalog("const"), m2, eps)
 

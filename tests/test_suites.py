@@ -189,3 +189,5 @@ def test_records_name_the_thresholds_their_pass_tests_use():
                       and d["defect_at_2pow_minus4"] > d["coarse_threshold"])
     passed, d = detail("colombeau: exact power-law slope")
     assert d["tolerance"] == 0.01 and passed and abs(d["slope"] - 3.0) <= d["tolerance"]
+    passed, d = detail("colombeau: L1 embedding sup bound")
+    assert (d["cells"], d["k_points"], d["tolerance"]) == (20000, 201, 1e-12) and passed
