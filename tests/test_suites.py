@@ -1,10 +1,15 @@
 """The suite record helpers can fail, and a fault in a module turns its record false."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import funcalg
 from funcalg import bergman, colombeau, gelfand, hardy, suites
 
 
@@ -134,6 +139,15 @@ class TestFaultsShow:
             "Plancherel dimensions are integers summing to the index"]
         assert rec["passed"] is False and rec["detail"]["max_error"] < 1e-9
 
+    def test_nonlinear_regularization_fails_linearity(self, monkeypatch):
+        # an error of 1e-9 relative to the terms; the slack scales with them
+        regularize = colombeau.regularize
+        monkeypatch.setattr(colombeau, "regularize",
+                            lambda *args: regularize(*args) * (1 + 1e-9 * regularize(*args)))
+        rec = by_name(suites.colombeau_suite(seed=0))["regularization linearity"]
+        d = rec["detail"]
+        assert rec["passed"] is False and d["max_error"] > d["tolerance"] * d["scale"] > 0
+
     def test_shifted_estimate_fails_every_rate(self, monkeypatch):
         estimate = colombeau.estimate_order
 
@@ -191,3 +205,26 @@ def test_records_name_the_thresholds_their_pass_tests_use():
     assert d["tolerance"] == 0.01 and passed and abs(d["slope"] - 3.0) <= d["tolerance"]
     passed, d = detail("colombeau: L1 embedding sup bound")
     assert (d["cells"], d["k_points"], d["tolerance"]) == (20000, 201, 1e-12) and passed
+    passed, d = detail("colombeau: regularization linearity")
+    assert d["tolerance"] == 1e-10 and d["scale"] > 0
+    assert passed is (d["max_error"] < d["tolerance"] * d["scale"])
+
+
+@pytest.mark.parametrize("name, layer", [
+    ("bergman", "bergman"), ("bloch", "bloch"), ("hardy", "hardy"), ("gelfand", "gelfand"),
+    ("lie", "liefields"), ("colombeau", "colombeau")])
+def test_suite_loads_only_its_layer(name, layer):
+    # a fresh interpreter: importing suites loads numcore only, running one
+    # suite adds the layer it checks and no other
+    package_root = str(Path(funcalg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from funcalg import suites; "
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('funcalg.')); "
+            f"print(loaded()); suites.run_suite({name!r}); print(loaded())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['funcalg.numcore', 'funcalg.suites']",
+        str(sorted({"funcalg.numcore", "funcalg.suites", f"funcalg.{layer}"}))]
