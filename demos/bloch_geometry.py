@@ -15,6 +15,7 @@ print(f"computed:  {rep.seminorm:.12f}")
 print(f"closed form 4/(3*sqrt(3)): {4 / (3 * np.sqrt(3)):.12f}")
 print(f"attained near |z| = {abs(rep.argmax_z):.6f}  (exact 1/sqrt(3) = "
       f"{1 / np.sqrt(3):.6f})")
+print(f"enclosure: [{rep.seminorm:.15f}, {rep.upper:.15f}], converged = {rep.converged}")
 
 print("\n=== alpha sweep for f = z^2 ===")
 for alpha in (0.5, 1.0, 1.5, 2.0):

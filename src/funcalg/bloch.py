@@ -1,17 +1,15 @@
 """alpha-Bloch seminorms and norms, Mobius transforms of the disc, the
 invariant gradient, little-Bloch membership and pointwise multipliers.
 
-Suprema over the open disc are approximated on a radial-angular grid whose
-resolution is doubled until the value changes by less than a refinement
-tolerance, then polished by a shrinking 5x5 polar stencil: centred on the
-best point, it moves to the stencil's best point and halves both steps until
-they reach 1e-14.  The report records the point attaining the maximum; the
-search certifies nothing.
-
-On a polar grid f' is separable, f'(r_i e^(i theta_j)) = sum_k b_k r_i^k
-e^(i k theta_j), so each grid level (and each stencil) is one matrix product
-of the radial powers b_k r_i^k by the angular characters e^(i k theta_j).
-The weight (1-r^2)^alpha is then applied to the row maxima of |f'| only.
+For a polynomial f the alpha-Bloch seminorm is sup_r (1-r^2)^alpha M(r), with
+M(r) = max |f'| on |z| = r.  M is nondecreasing (maximum modulus) and log M is
+convex in log r (Hadamard's three circles), so on a cell [r0, r1] M lies below
+its chord M(r0) (r/r0)^s, and (1-r^2)^alpha M(r) below that chord's weighted
+peak at r^2 = s/(s + 2 alpha), clipped to the cell; a cell at r0 = 0 is bounded
+by M(r1).  Cells are cut at their peaks and dropped once their bound is within
+RTOL of the best value found, so the report is an enclosure [seminorm, upper],
+rigorous up to the rounding of M.  M(r) itself comes from the unit-circle roots
+of one polynomial (Boyd, J. Eng. Math. 56, 2006).
 """
 
 from __future__ import annotations
@@ -22,69 +20,75 @@ import numpy as np
 
 from .numcore import HoloPoly
 
-GRID_START = 64     # radii and angles of the first grid, doubled each refinement
-REFINE_TOL = 1e-6
-MAX_REFINE = 4
+RTOL = 1e-13    # a cell is dropped once its bound is within RTOL of the best value
+LEVELS = 64     # cell levels before the search stops with converged = False
 
 
 @dataclass(frozen=True)
 class BlochReport:
     alpha: float
-    seminorm: float
+    seminorm: float       # the value attained at argmax_z
     norm: float
     argmax_z: complex
+    upper: float          # no point of the disc exceeds it, up to the rounding of M
+    converged: bool       # False when the level budget ran out first
 
 
-def _row_maxima(f_prime: HoloPoly, r: np.ndarray, theta: np.ndarray):
-    """For each radius r_i, the largest |f'(r_i e^(i theta_j))| over theta and
-    the index j attaining it, from one (len(r) x d) @ (d x len(theta)) product."""
-    k = np.arange(len(f_prime.coeffs))
-    mod = np.abs((f_prime.coeffs * r[:, None] ** k) @ np.exp(1j * np.outer(k, theta)))
-    j = np.argmax(mod, axis=1)
-    return mod[np.arange(len(r)), j], j
+def _circle_max(f_prime: HoloPoly, r):
+    """M(r) = max |f'| on |z| = r for each radius of r, and an angle attaining it.
 
-
-def _best_on(f_prime: HoloPoly, alpha: float, r: np.ndarray, theta: np.ndarray):
-    """Largest (1-|z|^2)^alpha |f'(z)| over z = r e^(i theta) on the polar
-    product of r and theta: the value, its point, and its r and theta."""
-    row_max, cols = _row_maxima(f_prime, r, theta)
-    vals = (1.0 - r ** 2) ** alpha * row_max
-    i = int(np.argmax(vals))
-    t = theta[cols[i]]
-    return float(vals[i]), complex(r[i] * np.exp(1j * t)), r[i], t
+    With f'(r w) = w^lo q(w) and q's coefficients scaled to a largest modulus of
+    one, |q|^2 = sum_m c_m w^m on |w| = 1 has its angular critical points at the
+    unit-circle roots of sum_m m c_m w^(m+d), the eigenvalues of its companion
+    matrix; |q| is taken there, moved onto the circle, and at w = 1."""
+    nz = np.flatnonzero(f_prime.coeffs)
+    k = np.arange(nz.min(initial=0), nz.max(initial=0) + 1)
+    a = f_prime.coeffs[k] * np.asarray(r, dtype=float)[:, None] ** k
+    scale = np.max(np.abs(a), axis=1)
+    a /= np.where(scale > 0, scale, 1.0)[:, None]
+    d, n = len(k) - 1, len(a)
+    p = np.array([np.correlate(row, row, "full") for row in a]) * np.arange(-d, d + 1)
+    comp = np.eye(2 * d, k=-1) + np.zeros((n, 1, 1), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        comp[:, :1] = (-p[:, -2::-1] / p[:, -1:])[:, None]
+    # a zero leading coefficient (q constant, as at r = 0) or a NaN coefficient
+    # leaves a non-finite row; its roots are then only candidates, like w = 1
+    roots = np.linalg.eigvals(np.where(np.isfinite(comp), comp, 0.0))
+    theta = np.angle(np.concatenate([np.ones((n, 1)), roots], axis=1))
+    mod = np.abs(np.exp(1j * theta[:, :, None] * np.arange(d + 1)) @ a[:, :, None])[:, :, 0]
+    i = np.argmax(mod, axis=1)
+    return scale * mod[np.arange(n), i], theta[np.arange(n), i]
 
 
 def bloch_seminorm(f: HoloPoly, alpha: float) -> BlochReport:
-    """sup over the disc of (1-|z|^2)^alpha |f'(z)|, by the grid doubling and
-    polish described above; nothing is certified."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    """sup over the disc of (1-|z|^2)^alpha |f'(z)|, by the radial cell search
+    described above: the best value attained, where, and an upper bound."""
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     fp = f.derivative()
-    best = np.inf
-    for level in range(MAX_REFINE + 1):
-        n = GRID_START * 2 ** level
-        # closed radial grid [0, 1) biased toward the boundary is unnecessary for
-        # polynomials: (1-r^2)^alpha kills the boundary, so uniform radii suffice
-        r = np.linspace(0.0, 1.0, n, endpoint=False)
-        new, argmax, r0, t0 = _best_on(fp, alpha, r, 2.0 * np.pi * np.arange(n) / n)
-        converged = abs(new - best) < REFINE_TOL
-        best = new
-        if converged:
+    r = np.array([[0.0], [1.0]])          # cells [r[0], r[1]], with M at both ends in m
+    m = _circle_max(fp, r[:, 0])[0][:, None]
+    best, argmax, upper = float(m[0, 0]), 0j, 0.0
+    for level in range(LEVELS + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.log(m[1] / m[0]) / np.log(r[1] / r[0])
+            peak = np.sqrt(np.clip(s / (s + 2.0 * alpha), r[0] ** 2, r[1] ** 2))
+            chord = m[0] * (peak / r[0]) ** s * (1.0 - peak ** 2) ** alpha
+        bound, peak = np.where(r[0] > 0, chord, m[1]), np.where(r[0] > 0, peak, r[1] / 2.0)
+        live = bound > best * (1.0 + RTOL)
+        if level == LEVELS or not live.any():
             break
-
-    # local polish: a 5x5 polar stencil around the best point, both steps
-    # halved each round until they reach rounding level
-    offsets = np.arange(-2, 3)
-    dr, dt = 1.0 / n, 2.0 * np.pi / n
-    while dr > 1e-14 or dt > 1e-14:
-        value, z, r0, t0 = _best_on(fp, alpha, np.clip(r0 + dr * offsets, 0.0, 1.0 - 1e-12),
-                                    t0 + dt * offsets)
-        if value > best:
-            best, argmax = value, z
-        dr, dt = dr / 2.0, dt / 2.0
-    f0 = abs(f(0.0))
-    return BlochReport(alpha=float(alpha), seminorm=best, norm=f0 + best,
-                       argmax_z=argmax)
+        upper = float(np.max(bound[~live], initial=upper))
+        r, m, peak = r[:, live], m[:, live], peak[live]
+        mp, tp = _circle_max(fp, peak)
+        vals = (1.0 - peak ** 2) ** alpha * mp
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, argmax = float(vals[i]), complex(peak[i] * np.exp(1j * tp[i]))
+        r, m = np.hstack([(r[0], peak), (peak, r[1])]), np.hstack([(m[0], mp), (mp, m[1])])
+    return BlochReport(alpha=float(alpha), seminorm=best, norm=abs(f(0.0)) + best,
+                       argmax_z=argmax, upper=float(np.max(bound, initial=max(upper, best))),
+                       converged=not live.any())
 
 
 def bloch_norm(f: HoloPoly, alpha: float = 1.0) -> float:
@@ -114,14 +118,13 @@ def invariant_gradient_norm(f: HoloPoly, z: complex) -> float:
 def little_bloch_test(f: HoloPoly, radii) -> bool:
     """True iff the invariant gradient decays along the given radius ladder.
 
-    Requires the per-radius maxima over 256 angles to be eventually decreasing
+    Requires the per-radius maxima (1 - r^2) M(r) to be eventually decreasing
     (up to 1e-12 of the largest) and the value at the largest radius below 1e-3.
     """
     radii = np.asarray(radii, dtype=float)
     if not (np.all(np.diff(radii) > 0) and radii.max() < 1):
         raise ValueError("radii must be strictly increasing with max < 1")
-    theta = 2.0 * np.pi * np.arange(256) / 256
-    maxima = (1.0 - radii ** 2) * _row_maxima(f.derivative(), radii, theta)[0]
+    maxima = (1.0 - radii ** 2) * _circle_max(f.derivative(), radii)[0]
     tail = maxima[len(maxima) // 2:]
     eventually_decreasing = bool(np.all(np.diff(tail) <= 1e-12 * np.max(tail)))
     return bool(maxima[-1] < 1e-3 and eventually_decreasing)

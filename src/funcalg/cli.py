@@ -158,7 +158,8 @@ def cmd_bloch(args) -> int:
     rep = bloch.bloch_seminorm(poly, args.alpha)
     _emit_record(args, {"operation": "bloch", "alpha": rep.alpha,
                         "seminorm": rep.seminorm, "norm": rep.norm,
-                        "argmax_z": format_complex(rep.argmax_z)})
+                        "argmax_z": format_complex(rep.argmax_z),
+                        "upper": rep.upper, "converged": rep.converged})
     return 0
 
 

@@ -126,8 +126,10 @@ def gauss_jacobi(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=64)
 def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadrature:
-    """Gauss-Jacobi (radial, in s = r^2) x trapezoid (angular) quadrature for dA_alpha."""
+    """Gauss-Jacobi (radial, in s = r^2) x trapezoid (angular) quadrature for dA_alpha,
+    cached per (alpha, n_rad, n_ang) like gauss_jacobi; the arrays are read-only."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     if n_rad < 4 or n_ang < 8:
@@ -140,6 +142,8 @@ def build_disc_quadrature(alpha: float, n_rad: int, n_ang: int) -> DiscQuadratur
     radial_weights = (alpha + 1.0) * w / 2.0 ** (alpha + 1.0)
     angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
     nodes = (r[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    for arr in (r, radial_weights, angles, nodes):
+        arr.setflags(write=False)
     return DiscQuadrature(alpha=float(alpha), n_rad=n_rad, n_ang=n_ang,
                           radii=r, radial_weights=radial_weights,
                           angles=angles, nodes=nodes)
@@ -159,8 +163,10 @@ def node_grid(f, q: DiscQuadrature) -> np.ndarray:
 
 
 def circle_mean(v, p: float) -> np.ndarray:
-    """mean(|v|^p) over the last axis: M_p^p of each ring of equispaced circle samples."""
-    return np.mean(np.abs(v) ** p, axis=-1)
+    """mean(|v|^p) over the last axis: M_p^p of each ring of equispaced circle samples.
+    The power is taken in place, so a large grid allocates one temporary, not two."""
+    a = np.abs(v).astype(float, copy=False)
+    return np.mean(np.power(a, p, out=a), axis=-1)
 
 
 def sample(func, q: DiscQuadrature) -> np.ndarray:

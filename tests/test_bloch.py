@@ -43,6 +43,33 @@ class TestSeminorm:
         with pytest.raises(ValueError):
             bloch.bloch_seminorm(HoloPoly([0, 1]), 0.0)
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError):
+            bloch.bloch_seminorm(HoloPoly([0, 0, 1]), alpha)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_monomial_closed_form_in_enclosure(self, n, alpha):
+        # sup (1-r^2)^alpha n|c| r^(n-1) is at r^2 = (n-1)/(n-1+2 alpha), or at 0 for n = 1
+        c = 0.8 - 1.1j
+        rep = bloch.bloch_seminorm(HoloPoly(np.eye(n + 1)[n] * c), alpha)
+        r2 = (n - 1) / (n - 1 + 2.0 * alpha)
+        closed = n * abs(c) * r2 ** ((n - 1) / 2.0) * (1.0 - r2) ** alpha
+        assert rep.converged
+        assert rep.seminorm <= closed * (1.0 + 1e-15) and closed <= rep.upper * (1.0 + 1e-15)
+        assert rep.upper <= rep.seminorm * (1.0 + bloch.RTOL)
+
+    def test_enclosure_is_within_rtol(self):
+        for f, alpha in _random_cases():
+            rep = bloch.bloch_seminorm(f, alpha)
+            assert rep.converged and rep.seminorm <= rep.upper <= rep.seminorm * (1.0 + bloch.RTOL)
+
+    def test_level_budget_ends_unconverged(self, monkeypatch):
+        monkeypatch.setattr(bloch, "LEVELS", 1)
+        rep = bloch.bloch_seminorm(HoloPoly([0.3, 1.0, 0.5j, -0.7]), 1.0)
+        assert not rep.converged and rep.upper > rep.seminorm * (1.0 + bloch.RTOL)
+
 
 def _random_cases(count=20):
     rng = np.random.default_rng(20)
@@ -84,42 +111,49 @@ class TestStencilPolish:
             assert rep.seminorm == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
-def _full_grid_best(f_prime, alpha, r, theta):
-    """Reference for bloch._best_on: the largest (1-|z|^2)^alpha |f'(z)| over
-    every point of the polar grid, with f' evaluated by Horner."""
-    z = r[:, None] * np.exp(1j * theta)[None, :]
-    vals = (1.0 - np.abs(z) ** 2) ** alpha * np.abs(f_prime(z))
-    return float(vals.max())
+def _ring_max(f_prime, r):
+    """Oracle for bloch._circle_max: the best of 4096 equispaced angles on |z| = r,
+    refined by a bounded scalar search around it."""
+    from scipy.optimize import minimize_scalar
+
+    step = 2.0 * np.pi / 4096
+
+    def mod(t):
+        return abs(f_prime(r * np.exp(1j * t)))
+
+    t0 = step * np.argmax(np.abs(f_prime(r * np.exp(1j * step * np.arange(4096)))))
+    res = minimize_scalar(lambda t: -mod(t), bounds=(t0 - step, t0 + step), method="bounded",
+                          options={"xatol": 1e-12})
+    return max(mod(t0), -res.fun)
 
 
 def _ring_loop_little_bloch(f, radii):
-    """Reference for bloch.little_bloch_test: one Horner ring per radius."""
-    ring = np.exp(1j * 2.0 * np.pi * np.arange(256) / 256)
+    """Reference for bloch.little_bloch_test: the ring maxima of _ring_max, one radius at a time."""
     fp = f.derivative()
-    maxima = np.array([np.max((1.0 - r ** 2) * np.abs(fp(r * ring))) for r in radii])
+    maxima = np.array([(1.0 - r ** 2) * _ring_max(fp, r) for r in radii])
     tail = maxima[len(maxima) // 2:]
     return bool(maxima[-1] < 1e-3 and np.all(np.diff(tail) <= 1e-12 * np.max(tail)))
 
 
-class TestMatrixProductEvaluator:
-    """Each grid level is one product of radial powers by angular characters;
-    checked against the full-grid formula evaluated point by point."""
+class TestCircleMax:
+    """M(r) = max |f'| on |z| = r from the companion eigenvalues, checked against a
+    dense ring refined by a scalar search."""
 
-    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024])
-    def test_matches_full_grid_formula(self, n):
-        rng = np.random.default_rng(n)
-        r = np.linspace(0.0, 1.0, n, endpoint=False)
-        theta = 2.0 * np.pi * np.arange(n) / n
+    def test_matches_refined_ring(self):
+        rng = np.random.default_rng(64)
+        radii = np.array([0.0, 1e-3, 0.1, 0.37, 0.5, 0.77, 0.9, 0.999, 1.0])
         for deg in range(1, 9):
-            f = HoloPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
-            fp = f.derivative()
-            for alpha in (0.5, 1.0, 1.5, 2.0):
-                value, z, r0, t0 = bloch._best_on(fp, alpha, r, theta)
-                assert value == pytest.approx(_full_grid_best(fp, alpha, r, theta),
-                                              rel=1e-14, abs=0.0)
-                attained = (1.0 - abs(z) ** 2) ** alpha * abs(fp(z))
-                assert value == pytest.approx(attained, rel=1e-14, abs=0.0)
-                assert z == r0 * np.exp(1j * t0)
+            for _ in range(3):
+                f = HoloPoly(rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+                fp = f.derivative()
+                m, theta = bloch._circle_max(fp, radii)
+                for r, mr, t in zip(radii, m, theta):
+                    assert mr == pytest.approx(_ring_max(fp, r), rel=1e-13, abs=0.0)
+                    assert mr == pytest.approx(abs(fp(r * np.exp(1j * t))), rel=1e-14, abs=0.0)
+
+
+class TestMatrixProductEvaluator:
+    """The radial search on monomials, and little_bloch_test on exact ring maxima."""
 
     @pytest.mark.parametrize("n, alpha", [(2, 1.0), (3, 0.5), (5, 2.0), (8, 1.5)])
     def test_monomial_argmax_radius(self, n, alpha):

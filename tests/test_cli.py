@@ -123,6 +123,35 @@ class TestBlochHardy:
         rec = json.loads(out.read_text())
         assert rec["seminorm"] == pytest.approx(4 / (3 * np.sqrt(3)), abs=1e-6)
 
+    def test_bloch_writes_its_enclosure(self, tmp_path):
+        out = tmp_path / "bloch.json"
+        assert run(["bloch", "--poly", "0,0,1", "--alpha", "1", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["converged"] is True
+        assert rec["seminorm"] <= 4 / (3 * np.sqrt(3)) <= rec["upper"]
+
+    def test_bloch_level_budget_writes_unconverged(self, tmp_path, monkeypatch):
+        from funcalg import bloch
+        monkeypatch.setattr(bloch, "LEVELS", 1)
+        out = tmp_path / "bloch.json"
+        assert run(["bloch", "--poly", "0.3,1,0.5i,-0.7", "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["converged"] is False and rec["upper"] > rec["seminorm"]
+
+    @pytest.mark.parametrize("poly", ["1e200,1e200,1e200,1e200", "1e200,-1e200,1e200,-1e200"])
+    def test_bloch_huge_coefficients_exit_0(self, tmp_path, poly):
+        # (1 + 2r + 3r^2)(1 - r^2) peaks at 2.1031336922528343..., at theta = 0 for the
+        # first and at theta = pi for the second; unscaled, |f'|^2 overflows
+        out = tmp_path / "bloch.json"
+        assert run(["bloch", "--poly", poly, "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["seminorm"] == pytest.approx(2.1031336922528343e200, rel=1e-13)
+        assert rec["seminorm"] <= 2.1031336922528343e200 <= rec["upper"]
+
+    def test_bloch_nan_middle_coefficient_exit_1(self, capsys):
+        assert run(["bloch", "--poly", "0,1,nan,1"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_hardy_norm(self, tmp_path):
         out = tmp_path / "h.json"
         assert run(["hardy", "norm", "--poly", "3", "--out", str(out)]) == 0

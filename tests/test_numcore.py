@@ -138,9 +138,11 @@ class TestGaussJacobi:
     def test_mutating_a_build_leaves_the_next_unchanged(self):
         q = build_disc_quadrature(1.5, 16, 32)
         expected = q.radial_weights.copy()
-        q.radial_weights[:] = 0.0
-        q.radii[:] = 0.0
+        for arr in (q.radial_weights, q.radii, q.angles, q.nodes):
+            with pytest.raises(ValueError):
+                arr[:] = 0.0
         fresh = build_disc_quadrature(1.5, 16, 32)
+        assert fresh is q
         np.testing.assert_array_equal(fresh.radial_weights, expected)
         assert np.all(fresh.radii > 0.0)
 

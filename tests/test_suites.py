@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import funcalg
-from funcalg import bergman, colombeau, gelfand, hardy, suites
+from funcalg import bergman, bloch, colombeau, gelfand, hardy, suites
 
 
 def by_name(records):
@@ -148,6 +148,14 @@ class TestFaultsShow:
         d = rec["detail"]
         assert rec["passed"] is False and d["max_error"] > d["tolerance"] * d["scale"] > 0
 
+    def test_nonlinear_bloch_norm_fails_homogeneity(self, monkeypatch):
+        # an error of 1e-9 relative to the norms; the tolerance is relative to them
+        norm = bloch.bloch_norm
+        monkeypatch.setattr(bloch, "bloch_norm",
+                            lambda f, alpha=1.0: norm(f, alpha) * (1 + 1e-9 * norm(f, alpha)))
+        rec = by_name(suites.bloch_suite(seed=0))["norm homogeneity"]
+        assert rec["passed"] is False and rec["detail"]["max_error"] > rec["detail"]["tolerance"]
+
     def test_shifted_estimate_fails_every_rate(self, monkeypatch):
         estimate = colombeau.estimate_order
 
@@ -205,6 +213,13 @@ def test_records_name_the_thresholds_their_pass_tests_use():
     assert d["tolerance"] == 0.01 and passed and abs(d["slope"] - 3.0) <= d["tolerance"]
     passed, d = detail("colombeau: L1 embedding sup bound")
     assert (d["cells"], d["k_points"], d["tolerance"]) == (20000, 201, 1e-12) and passed
+    passed, d = detail("bloch: seminorm of z^2 at alpha=1")
+    assert d["tolerance"] == 1e-12 and passed
+    assert passed is bool(d["error"] < d["tolerance"] and d["value"] <= d["expected"] <= d["upper"])
+    passed, d = detail("bloch: norm homogeneity")
+    assert d["tolerance"] == 1e-12 and passed is (d["max_error"] < d["tolerance"])
+    passed, d = detail("bloch: norm subadditivity")
+    assert d["tolerance"] == 1e-12 and passed is (d["worst_gap"] <= d["tolerance"])
     passed, d = detail("colombeau: regularization linearity")
     assert d["tolerance"] == 1e-10 and d["scale"] > 0
     assert passed is (d["max_error"] < d["tolerance"] * d["scale"])
