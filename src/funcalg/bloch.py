@@ -22,6 +22,10 @@ from .numcore import HoloPoly
 
 RTOL = 1e-13    # a cell is dropped once its bound is within RTOL of the best value
 LEVELS = 64     # cell levels before the search stops with converged = False
+# d -> the gather index m + j of the lag-m products a_(j+m) conj(a_j); E[k, j] = w^k at
+# the 2d + 1 angles w = e^(2 pi i j/(2d+1)); and T, row k the coefficients of (x + i)^k
+# (x - i)^(2d-k), so that p @ T is the Cayley image (x - i)^(2d) P((x + i)/(x - i)).
+_CAYLEY: dict = {}
 
 
 @dataclass(frozen=True)
@@ -34,66 +38,111 @@ class BlochReport:
     converged: bool       # False when the level budget ran out first
 
 
-def _circle_max(f_prime: HoloPoly, r):
-    """M(r) = max |f'| on |z| = r for each radius of r, and an angle attaining it.
+def _span(p: HoloPoly):
+    """The exponents from p's lowest to its highest nonzero coefficient, and those coefficients."""
+    nz = np.flatnonzero(p.coeffs)
+    k = np.arange(nz[0], nz[-1] + 1) if nz.size else np.arange(1)
+    return k, p.coeffs[k]
 
-    With f'(r w) = w^lo q(w) and q's coefficients scaled to a largest modulus of
-    one, |q|^2 = sum_m c_m w^m on |w| = 1 has its angular critical points at the
-    unit-circle roots of sum_m m c_m w^(m+d), the eigenvalues of its companion
-    matrix; |q| is taken there, moved onto the circle, and at w = 1."""
-    nz = np.flatnonzero(f_prime.coeffs)
-    k = np.arange(nz.min(initial=0), nz.max(initial=0) + 1)
-    a = f_prime.coeffs[k] * np.asarray(r, dtype=float)[:, None] ** k
+
+def _circle_max(p, r):
+    """M(r) = max |p| on |z| = r for each radius of r, and an angle attaining it; p is
+    a HoloPoly, or exponent and coefficient rows (k, c) of one length, one per radius.
+
+    With p(r w) = w^lo q(w) and q's coefficients scaled to a largest modulus of one,
+    |q|^2 = sum_m c_m w^m on |w| = 1 has its angular critical points at the unit-circle
+    roots of P(w) = sum_m m c_m w^(m+d).  Turned by the angle phi, of 2d + 1 equispaced
+    ones, where |P| is largest, e^(-i d phi) P(e^(i phi) w) is anti-self-inversive, so
+    its Cayley image under w = (x + i)/(x - i) is i times a real polynomial of full
+    degree 2d, whose real roots are those points (Marden, Geometry of Polynomials).
+    |q| is taken at the eigenvalues of that polynomial's real companion matrix, moved
+    onto the circle, and at w = 1 and w = e^(i phi)."""
+    k, c = _span(p) if isinstance(p, HoloPoly) else p
+    a = c * np.asarray(r, dtype=float)[:, None] ** k
+    n, d = len(a), k.shape[-1] - 1
+    if d == 0:
+        return np.abs(a[:, 0]), np.zeros(n)
     scale = np.max(np.abs(a), axis=1)
     a /= np.where(scale > 0, scale, 1.0)[:, None]
-    d, n = len(k) - 1, len(a)
-    p = np.array([np.correlate(row, row, "full") for row in a]) * np.arange(-d, d + 1)
-    comp = np.eye(2 * d, k=-1) + np.zeros((n, 1, 1), dtype=complex)
+    if d not in _CAYLEY:              # built on first use
+        w, lag = np.arange(2 * d + 1), np.add.outer(np.arange(d + 1), np.arange(d + 1))
+        _CAYLEY[d] = lag, np.exp(2j * np.pi * np.outer(w, w) / w.size), np.array(
+            [np.poly([-1j] * h + [1j] * (2 * d - h))[::-1] for h in w], complex)
+    lag, e, t = _CAYLEY[d]
+    cm = (np.hstack([a, np.zeros((n, d))])[:, lag] @ a.conj()[:, :, None])[:, :, 0]
+    p = np.hstack([cm[:, :0:-1].conj(), cm]) * np.arange(-d, d + 1)
+    j = np.argmax(np.abs(p @ e), axis=1)
+    real = (p * e[j] * e[j, d:d + 1].conj() @ t).imag
+    comp = np.eye(2 * d, k=-1) + np.zeros((n, 1, 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        comp[:, :1] = (-p[:, -2::-1] / p[:, -1:])[:, None]
+        comp[:, 0] = -real[:, -2::-1] / real[:, -1:]
     # a zero leading coefficient (q constant, as at r = 0) or a NaN coefficient
     # leaves a non-finite row; its roots are then only candidates, like w = 1
-    roots = np.linalg.eigvals(np.where(np.isfinite(comp), comp, 0.0))
-    theta = np.angle(np.concatenate([np.ones((n, 1)), roots], axis=1))
+    x = np.linalg.eigvals(np.where(np.isfinite(comp), comp, 0.0))
+    turn = e[j, 1:2]                  # e^(i phi)
+    theta = np.angle(np.hstack([np.ones((n, 1)), turn, turn * (x + 1j) * (x.conj() + 1j)]))
     mod = np.abs(np.exp(1j * theta[:, :, None] * np.arange(d + 1)) @ a[:, :, None])[:, :, 0]
     i = np.argmax(mod, axis=1)
     return scale * mod[np.arange(n), i], theta[np.arange(n), i]
 
 
-def bloch_seminorm(f: HoloPoly, alpha: float) -> BlochReport:
-    """sup over the disc of (1-|z|^2)^alpha |f'(z)|, by the radial cell search
-    described above: the best value attained, where, and an upper bound."""
+def weighted_sups(ps, alpha: float):
+    """For each polynomial p of ps, sup over the disc of (1-|z|^2)^alpha |p(z)| by the
+    radial cell search described above, all of their cells in one level loop: arrays
+    of the values attained, their argmax_z, the upper bounds and converged."""
     if not (np.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    fp = f.derivative()
-    r = np.array([[0.0], [1.0]])          # cells [r[0], r[1]], with M at both ends in m
-    m = _circle_max(fp, r[:, 0])[0][:, None]
-    best, argmax, upper = float(m[0, 0]), 0j, 0.0
+    spans, n = [_span(p) for p in ps], len(ps)
+    deg = np.array([len(ks) - 1 for ks, _ in spans], dtype=int)
+    k = np.zeros((n, deg.max(initial=0) + 1), dtype=int)     # the spans, left-aligned
+    c = np.zeros(k.shape, dtype=complex)
+    for s, (ks, cs) in enumerate(spans):
+        k[s, :len(ks)], c[s, :len(cs)] = ks, cs
+
+    def circle_max(i, r):             # one _circle_max per span length d among the cells
+        m, t = np.empty(len(i)), np.empty(len(i))
+        for d in np.unique(deg[i]):
+            j = np.flatnonzero(deg[i] == d)
+            m[j], t[j] = _circle_max((k[i[j], :d + 1], c[i[j], :d + 1]), r[j])
+        return m, t
+
+    i = np.arange(n)                  # cells [r[0], r[1]] of polynomial i, M at both ends in m
+    r = np.array([np.zeros(n), np.ones(n)])
+    m = circle_max(np.tile(i, 2), r.ravel())[0].reshape(2, n)
+    best, argmax, upper = m[0].copy(), np.zeros(n, dtype=complex), np.zeros(n)
     for level in range(LEVELS + 1):
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.log(m[1] / m[0]) / np.log(r[1] / r[0])
             peak = np.sqrt(np.clip(s / (s + 2.0 * alpha), r[0] ** 2, r[1] ** 2))
             chord = m[0] * (peak / r[0]) ** s * (1.0 - peak ** 2) ** alpha
         bound, peak = np.where(r[0] > 0, chord, m[1]), np.where(r[0] > 0, peak, r[1] / 2.0)
-        live = bound > best * (1.0 + RTOL)
+        live = bound > best[i] * (1.0 + RTOL)
         if level == LEVELS or not live.any():
             break
-        upper = float(np.max(bound[~live], initial=upper))
-        r, m, peak = r[:, live], m[:, live], peak[live]
-        mp, tp = _circle_max(fp, peak)
+        np.maximum.at(upper, i[~live], bound[~live])
+        i, r, m, peak = i[live], r[:, live], m[:, live], peak[live]
+        mp, tp = circle_max(i, peak)
         vals = (1.0 - peak ** 2) ** alpha * mp
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, argmax = float(vals[i]), complex(peak[i] * np.exp(1j * tp[i]))
+        order = np.lexsort((-vals, i))  # by polynomial, its best (first) cell first
+        win = order[np.unique(i[order], return_index=True)[1]]
+        win = win[vals[win] > best[i[win]]]
+        best[i[win]], argmax[i[win]] = vals[win], peak[win] * np.exp(1j * tp[win])
+        i = np.concatenate([i, i])
         r, m = np.hstack([(r[0], peak), (peak, r[1])]), np.hstack([(m[0], mp), (mp, m[1])])
-    return BlochReport(alpha=float(alpha), seminorm=best, norm=abs(f(0.0)) + best,
-                       argmax_z=argmax, upper=float(np.max(bound, initial=max(upper, best))),
-                       converged=not live.any())
+    np.maximum.at(upper, i, bound)
+    return best, argmax, np.maximum(upper, best), ~np.isin(np.arange(n), i[live])
 
 
-def bloch_norm(f: HoloPoly, alpha: float = 1.0) -> float:
-    """|f(0)| + Bloch seminorm."""
-    return bloch_seminorm(f, alpha).norm
+def bloch_seminorm(f: HoloPoly, alpha: float) -> BlochReport:
+    """sup over the disc of (1-|z|^2)^alpha |f'(z)|: weighted_sups on f' alone."""
+    value, argmax, upper, converged = (x[0] for x in weighted_sups([f.derivative()], alpha))
+    return BlochReport(alpha=float(alpha), seminorm=float(value), norm=abs(f(0.0)) + float(value),
+                       argmax_z=complex(argmax), upper=float(upper), converged=bool(converged))
+
+
+def bloch_norms(fs, alpha: float = 1.0) -> np.ndarray:
+    """|f(0)| + Bloch seminorm for each f of fs, from one weighted_sups call."""
+    return np.abs([f(0.0) for f in fs]) + weighted_sups([f.derivative() for f in fs], alpha)[0]
 
 
 def mobius(a: complex, z):
@@ -133,12 +182,9 @@ def little_bloch_test(f: HoloPoly, radii) -> bool:
 def multiplier_norm_report(phi: HoloPoly, test_set, alpha: float = 1.0) -> float:
     """sup over the test set of ||phi f||_B / ||f||_B for the pointwise
     multiplier M_phi(f) = phi * f."""
-    ratios = []
-    for f in test_set:
-        denom = bloch_norm(f, alpha)
-        if denom < 1e-14:
-            continue
-        ratios.append(bloch_norm(phi * f, alpha) / denom)
-    if not ratios:
+    test_set = list(test_set)
+    denom, num = bloch_norms(test_set + [phi * f for f in test_set], alpha).reshape(2, -1)
+    keep = ~(denom < 1e-14)
+    if not keep.any():
         raise ValueError("test set contains no nonzero function")
-    return float(max(ratios))
+    return float(np.max(num[keep] / denom[keep]))

@@ -226,24 +226,14 @@ def bloch_suite(seed: int = 0) -> list[dict]:
         abs(bloch.invariant_gradient_norm(f, z) - (1.0 - abs(z) ** 2) * abs(f.derivative()(z)))
         for f, z in trials), 1e-10))
 
-    # product bound at the proof level, on a shared grid
-    r = np.linspace(0.0, 1.0, 400, endpoint=False)
-    theta = 2.0 * np.pi * np.arange(128) / 128
-    zg = r[:, None] * np.exp(1j * theta)[None, :]
-    w = 1.0 - np.abs(zg) ** 2
-
-    def sup(values):
-        return float(np.max(w * np.abs(values)))
-
-    def product_bound(f, g):
-        h = f * g
-        return (abs(h(0.0)) + sup(h.derivative()(zg)),
-                abs(f(0.0)) * abs(g(0.0)) + sup(f.derivative()(zg) * g(zg))
-                + sup(f(zg) * g.derivative()(zg)))
-
+    # product bound at the proof level, ||fg||_B <= |f(0) g(0)| + sup w |f'g| + sup w |fg'|
+    # with w = 1 - |z|^2: the left side attained, the right side from upper bounds
     pairs = [(_random_poly(rng, 4), _random_poly(rng, 4)) for _ in range(50)]
-    out.append(_sweep("product bound (proof-level)",
-                      (product_bound(f, g) for f, g in pairs), 1e-8))
+    value, _, upper, _ = bloch.weighted_sups([p for f, g in pairs for p in (
+        (f * g).derivative(), f.derivative() * g, f * g.derivative())], 1.0)
+    out.append(_sweep("product bound (proof-level)", (
+        ((abs(f(0.0) * g(0.0)) + v) / (abs(f(0.0) * g(0.0)) + u1 + u2), 1.0)
+        for (f, g), v, u1, u2 in zip(pairs, value[::3], upper[1::3], upper[2::3])), 1e-12))
 
     pairs = [(_random_poly(rng, 5), _random_poly(rng, 5)) for _ in range(20)]
     out.append(_max_error("Leibniz consistency", (
@@ -252,14 +242,12 @@ def bloch_suite(seed: int = 0) -> list[dict]:
         for f, g in pairs), 1e-12))
 
     # norm homogeneity and triangle inequality, relative to the norms involved
-    homogeneity, ratios = [], []
-    for _ in range(10):
-        f, g, a = _random_poly(rng, 4), _random_poly(rng, 4), _cnormal(rng)
-        nf = bloch.bloch_norm(f)
-        homogeneity.append(abs(bloch.bloch_norm(a * f) / (abs(a) * nf) - 1.0))
-        ratios.append((bloch.bloch_norm(f + g) / (nf + bloch.bloch_norm(g)), 1.0))
-    out.append(_max_error("norm homogeneity", homogeneity, 1e-12))
-    out.append(_sweep("norm subadditivity", ratios, 1e-12))
+    draws = [(_random_poly(rng, 4), _random_poly(rng, 4), _cnormal(rng)) for _ in range(10)]
+    nf, naf, nfg, ng = bloch.bloch_norms(
+        [h for f, g, a in draws for h in (f, a * f, f + g, g)]).reshape(-1, 4).T
+    out.append(_max_error("norm homogeneity",
+                          np.abs(naf / (np.abs([a for _, _, a in draws]) * nf) - 1.0), 1e-12))
+    out.append(_sweep("norm subadditivity", zip(nfg / (nf + ng), np.ones(10)), 1e-12))
     return out
 
 

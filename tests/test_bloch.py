@@ -71,6 +71,26 @@ class TestSeminorm:
         assert not rep.converged and rep.upper > rep.seminorm * (1.0 + bloch.RTOL)
 
 
+class TestWeightedSups:
+    def test_batch_matches_one_call_each(self):
+        # mixed span lengths, with constants, monomials, a zero and a gap below the span
+        rng = np.random.default_rng(27)
+        ps = [HoloPoly([0.0]), HoloPoly([2.5j]), HoloPoly([0, 0, 0, 1.5 - 1j]),
+              HoloPoly([0, 0, 1.0, 0.5j, -2.0])]
+        for _ in range(16):
+            deg = int(rng.integers(0, 13))
+            ps.append(HoloPoly(rng.standard_normal(deg + 1) * [1.0, 1j, 1.0 + 1j][len(ps) % 3]))
+        for alpha in (0.5, 1.0, 2.0):
+            value, argmax, upper, converged = bloch.weighted_sups(ps, alpha)
+            for p, v, z, u, c in zip(ps, value, argmax, upper, converged):
+                (v1,), _, (u1,), (c1,) = bloch.weighted_sups([p], alpha)
+                assert c and c1
+                assert v == pytest.approx(v1, rel=bloch.RTOL, abs=0.0)
+                assert u == pytest.approx(u1, rel=bloch.RTOL, abs=0.0)
+                assert v == pytest.approx((1.0 - abs(z) ** 2) ** alpha * abs(p(z)),
+                                          rel=1e-14, abs=0.0)
+
+
 def _random_cases(count=20):
     rng = np.random.default_rng(20)
     for _ in range(count):
@@ -79,8 +99,8 @@ def _random_cases(count=20):
         yield HoloPoly(coeffs), float(rng.choice([0.5, 1.0, 1.5, 2.0]))
 
 
-class TestStencilPolish:
-    """The polish ends at a local maximum that Nelder-Mead cannot improve."""
+class TestSearchOptimum:
+    """The search ends at a value attained at argmax_z that Nelder-Mead cannot improve."""
 
     @staticmethod
     def g(f_prime, alpha, z):
@@ -151,8 +171,28 @@ class TestCircleMax:
                     assert mr == pytest.approx(_ring_max(fp, r), rel=1e-13, abs=0.0)
                     assert mr == pytest.approx(abs(fp(r * np.exp(1j * t))), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("unit", [1.0, 1j])
+    def test_real_and_imaginary_coefficients(self, unit):
+        # real coefficients make w = 1 a critical point on every circle, where the
+        # Cayley map of the unturned critical-point polynomial loses a degree
+        rng = np.random.default_rng(65)
+        radii = np.array([0.0, 1e-3, 0.1, 0.37, 0.5, 0.77, 0.9, 0.999, 1.0])
+        for deg in range(1, 12):
+            for _ in range(3):
+                fp = HoloPoly(unit * rng.standard_normal(deg + 1)).derivative()
+                m, theta = bloch._circle_max(fp, radii)
+                for r, mr, t in zip(radii, m, theta):
+                    assert mr == pytest.approx(_ring_max(fp, r), rel=1e-13, abs=0.0)
+                    assert mr == pytest.approx(abs(fp(r * np.exp(1j * t))), rel=1e-14, abs=0.0)
 
-class TestMatrixProductEvaluator:
+    def test_real_quartic_seminorm(self):
+        # an unturned Cayley map read 1.0 here
+        rep = bloch.bloch_seminorm(HoloPoly([0.3, -1.0, 0.5, 0.25, -0.7]), 1.0)
+        assert rep.converged and rep.seminorm <= rep.upper
+        assert rep.seminorm == pytest.approx(1.3261967025827857, rel=1e-12, abs=0.0)
+
+
+class TestSearchOnMonomials:
     """The radial search on monomials, and little_bloch_test on exact ring maxima."""
 
     @pytest.mark.parametrize("n, alpha", [(2, 1.0), (3, 0.5), (5, 2.0), (8, 1.5)])

@@ -150,9 +150,9 @@ class TestFaultsShow:
 
     def test_nonlinear_bloch_norm_fails_homogeneity(self, monkeypatch):
         # an error of 1e-9 relative to the norms; the tolerance is relative to them
-        norm = bloch.bloch_norm
-        monkeypatch.setattr(bloch, "bloch_norm",
-                            lambda f, alpha=1.0: norm(f, alpha) * (1 + 1e-9 * norm(f, alpha)))
+        norms = bloch.bloch_norms
+        monkeypatch.setattr(bloch, "bloch_norms",
+                            lambda fs, alpha=1.0: norms(fs, alpha) * (1 + 1e-9 * norms(fs, alpha)))
         rec = by_name(suites.bloch_suite(seed=0))["norm homogeneity"]
         assert rec["passed"] is False and rec["detail"]["max_error"] > rec["detail"]["tolerance"]
 
@@ -219,6 +219,8 @@ def test_records_name_the_thresholds_their_pass_tests_use():
     passed, d = detail("bloch: norm homogeneity")
     assert d["tolerance"] == 1e-12 and passed is (d["max_error"] < d["tolerance"])
     passed, d = detail("bloch: norm subadditivity")
+    assert d["tolerance"] == 1e-12 and passed is (d["worst_gap"] <= d["tolerance"])
+    passed, d = detail("bloch: product bound (proof-level)")
     assert d["tolerance"] == 1e-12 and passed is (d["worst_gap"] <= d["tolerance"])
     passed, d = detail("colombeau: regularization linearity")
     assert d["tolerance"] == 1e-10 and d["scale"] > 0
